@@ -180,7 +180,9 @@ def _certify_yes(kind: str, matrices, tol: Tolerances, budget: ConeBudget) -> in
 
 def _verify_no(entry_ids_for_cell, reports: dict, tol, budget) -> None:
     for entry_id in entry_ids_for_cell:
-        report = reports.setdefault(entry_id, run_entry(entry_id, tol, budget))
+        if entry_id not in reports:
+            reports[entry_id] = run_entry(entry_id, tol, budget)
+        report = reports[entry_id]
         if not report.passed:
             failing = [c.kind for c in report.checks if not c.passed]
             raise ReproductionError(f"witness entry {entry_id!r} failed checks: {failing}")

@@ -12,9 +12,10 @@ positive vector (certificate) -- never both.
 PSD decisions run a three-stage pipeline: a trace shortcut (a subspace of
 trace-zero matrices meets the cone only at 0, certified by the identity),
 a primal witness search (Dykstra alternating projections between the
-trace-one slice of the subspace and the cone, multiple seeded starts),
-and a dual certificate search (projected supergradient ascent of the
-smallest eigenvalue over the trace-normalized orthogonal complement).
+trace-one slice of the subspace and the cone from multiple seeded starts,
+which advance together as one batch; the lowest start index that hits
+wins), and a dual certificate search (projected supergradient ascent of
+the smallest eigenvalue over the trace-normalized orthogonal complement).
 ``UNDECIDED`` is an honest outcome when both searches exhaust their
 budget.
 """
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .numkernel import DEFAULT_TOL, InconsistencyError, Tolerances, lp_solve
-from .symspace import smat, svec, sym_dim
+from .symspace import _triu_indices, smat, svec, sym_dim
 
 
 @dataclass(frozen=True)
@@ -180,54 +182,123 @@ def orthant_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL) -> C
     return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=certificate)
 
 
-def _psd_project_coords(v: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(smat(v))
-    return svec((q * np.maximum(w, 0.0)) @ q.T)
-
-
 def _min_eig_coords(v: np.ndarray):
     w, q = np.linalg.eigh(smat(v))
     return float(w[0]), q[:, 0]
 
 
-def _dykstra_witness(basis, n, start, iters, tol: Tolerances):
-    """One Dykstra run between {v in S : tr = 1} and the PSD cone.
+@lru_cache(maxsize=None)
+def _svec_layout(n: int):
+    """Index maps between svec coordinates and row-major n-by-n entries.
 
-    Returns the affine-side iterate once it is PSD within ``feas_tol``
-    (it lies in the subspace with unit trace by construction), or None.
-    Bails out early when the gap between the two projections stalls well
-    above the tolerance, which signals an empty or separated intersection.
+    ``(v / scale)[..., full]`` is :func:`smat` of each row of ``v`` and
+    ``x.reshape(-1, n * n)[:, upper] * scale`` is :func:`svec` of each
+    matrix of ``x``, with the same arithmetic as those two; ``s_id`` is
+    ``svec(I)``.  The arrays are shared by every caller, hence read-only.
     """
-    s_id = svec(np.eye(n))
+    (rows, cols), scale = _triu_indices(n)
+    full = np.empty((n, n), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(rows.size)
+    layout = (full.ravel(), rows * n + cols, scale.copy(), (rows == cols).astype(float))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+# relative bound on the rounding error of an eigvalsh eigenvalue (orders <= 50)
+_EIG_SLACK = 1e-12
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
+def _dykstra_hits(basis, n, starts, iters, tol: Tolerances, first: bool = False) -> dict:
+    """Dykstra runs between {v in S : tr = 1} and the PSD cone, all starts at once.
+
+    ``starts`` holds one svec start per row.  Every live start advances
+    together: per iteration one stacked ``eigvalsh`` tests the affine-side
+    iterates for PSD within ``feas_tol`` and one stacked ``eigh`` projects
+    the rest onto the cone.  A start leaves the batch when it hits, or
+    when the gap between the two projections stalls well above the
+    tolerance (an empty or separated intersection).
+
+    The test skips a start whose iterate provably fails it: by Weyl's
+    inequality an eigenvalue moves by at most the step's norm, so the last
+    computed smallest eigenvalue plus the steps since, plus a slack for
+    the rounding of ``eigvalsh`` at both ends, bounds it from above.
+
+    Returns ``{start index: hit matrix}`` in start order; a hit lies in
+    the subspace with unit trace by construction.  With ``first`` the run
+    stops once the lowest-indexed live start has hit, and returns only it.
+    """
+    full, upper, scale, s_id = _svec_layout(n)
     u = basis @ (basis.T @ s_id)
     uu = float(u @ u)
-    if uu <= tol.feas_tol ** 2:
-        return None  # trace functional (nearly) vanishes on S; handled upstream
+    if uu <= tol.feas_tol ** 2 or len(starts) == 0:
+        return {}  # trace functional (nearly) vanishes on S; handled upstream
 
-    def proj_affine(v):
-        w = basis @ (basis.T @ v)
-        return w + ((1.0 - w @ s_id) / uu) * u
-
-    x = start
-    corr = np.zeros_like(start)
-    best_gap = np.inf
-    stalled = 0
+    live = np.arange(len(starts))
+    x = a = starts
+    bound = np.full(len(live), np.inf)  # skip the test while this is < -feas_tol
+    hits = {}
     for it in range(iters):
-        a = proj_affine(x)
-        if _min_eig_coords(a)[0] >= -tol.feas_tol:
-            return a
+        w = (x @ basis) @ basis.T
+        a, prev = w + ((1.0 - w @ s_id) / uu)[:, None] * u, a
+        if it:
+            bound += (1.0 + _EIG_SLACK) * _row_norms(a - prev)
+        check = np.flatnonzero(bound >= -tol.feas_tol)
+        if check.size:
+            mats = (a[check] / scale)[:, full].reshape(-1, n, n)
+            eig = np.linalg.eigvalsh(mats)
+            hit = eig[:, 0] >= -tol.feas_tol
+            done = check[hit]
+            hits.update(zip(live[done].tolist(), mats[hit]))
+            if done.size == live.size:
+                break
+            bound[check] = eig[:, 0] + 2.0 * _EIG_SLACK * (1.0 + np.abs(eig).max(axis=1))
+            if done.size:
+                keep = np.ones(len(live), dtype=bool)
+                keep[done] = False
+                if first:
+                    keep &= live < min(hits)
+                if not keep.any():
+                    break
+                live, a, bound = live[keep], a[keep], bound[keep]
+                if it:
+                    corr, best_gap, stalled = corr[keep], best_gap[keep], stalled[keep]
+        if not it:  # batch state, allocated only once iteration 0 has misses
+            corr = np.zeros_like(a)
+            best_gap = np.full(len(live), np.inf)
+            stalled = np.zeros(len(live), dtype=int)
         y = a + corr
-        p = _psd_project_coords(y)
-        corr = y - p
-        x = p
-        gap = float(np.linalg.norm(a - p))
-        if gap < best_gap * (1.0 - 1e-3):
-            best_gap, stalled = gap, 0
-        else:
-            stalled += 1
-            if stalled >= 200 and gap > 10.0 * tol.feas_tol:
-                return None
-    return None
+        lam, q = np.linalg.eigh((y / scale)[:, full].reshape(-1, n, n))
+        x = ((q * np.maximum(lam, 0.0)[:, None, :]) @ q.transpose(0, 2, 1)) \
+            .reshape(-1, n * n)[:, upper] * scale
+        corr = y - x
+        gap = _row_norms(a - x)
+        improved = gap < best_gap * (1.0 - 1e-3)
+        best_gap = np.where(improved, gap, best_gap)
+        stalled = np.where(improved, 0, stalled + 1)
+        alive = (stalled < 200) | (gap <= 10.0 * tol.feas_tol)
+        if not alive.all():
+            if not alive.any():
+                break
+            live, x, a, bound = live[alive], x[alive], a[alive], bound[alive]
+            corr, best_gap, stalled = corr[alive], best_gap[alive], stalled[alive]
+    if first and hits:
+        lowest = min(hits)
+        return {lowest: hits[lowest]}
+    return dict(sorted(hits.items()))
+
+
+def _starts(basis, n, seed: int, indices) -> np.ndarray:
+    """Svec start points, one row per index: I/n for 0, else a seeded random point of S."""
+    starts = np.empty((len(indices), basis.shape[0]))
+    for row, i in zip(starts, indices):
+        row[:] = _svec_layout(n)[3] / n if i == 0 \
+            else basis @ np.random.default_rng([seed, i]).standard_normal(basis.shape[1])
+    return starts
 
 
 def _ascent_certificate(comp, n, iters, tol: Tolerances):
@@ -286,16 +357,16 @@ def psd_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,
     if cert is not None:
         return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=cert)
 
-    for start_index in range(budget.starts):
-        if start_index == 0:
-            start = s_id / n
-        else:
-            rng = np.random.default_rng([budget.seed, start_index])
-            start = basis @ rng.standard_normal(spec.dim)
-        found = _dykstra_witness(basis, n, start, budget.projection_iters, tol)
-        if found is not None:
-            w = smat(found)
-            return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=w / np.trace(w))
+    # start 0 (I/n) alone, as it often hits at once; then the rest as one
+    # batch that stops once its lowest-indexed live start hits
+    hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(min(budget.starts, 1))),
+                         budget.projection_iters, tol)
+    if not hits:
+        hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(1, budget.starts)),
+                             budget.projection_iters, tol, first=True)
+    if hits:
+        (w,) = hits.values()
+        return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=w / np.trace(w))
 
     cert = _ascent_certificate(comp, n, budget.ascent_iters, tol)
     if cert is not None:
@@ -314,20 +385,5 @@ def collect_psd_witness_samples(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TO
     if spec.ambient != "sym":
         raise ValueError("expects a symmetric-ambient subspace")
     n, basis = spec.n, spec.basis
-    if spec.dim == 0:
-        return []
-    s_id = svec(np.eye(n))
-    if np.linalg.norm(basis.T @ s_id) <= tol.feas_tol:
-        return []
-    samples = []
-    for start_index in range(starts):
-        if start_index == 0:
-            start = s_id / n
-        else:
-            rng = np.random.default_rng([seed, start_index])
-            start = basis @ rng.standard_normal(spec.dim)
-        found = _dykstra_witness(basis, n, start, iters, tol)
-        if found is not None:
-            w = smat(found)
-            samples.append(w / np.trace(w))
-    return samples
+    hits = _dykstra_hits(basis, n, _starts(basis, n, seed, range(starts)), iters, tol)
+    return [w / np.trace(w) for w in hits.values()]

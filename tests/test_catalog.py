@@ -69,3 +69,15 @@ class TestTable:
                 cell = row[kind]
                 if cell.answer == "no":
                     assert cell.witness_entries
+
+    def test_each_witness_entry_runs_once(self, monkeypatch):
+        calls = []
+        original = catalog.run_entry
+
+        def counting(entry_id, *args, **kwargs):
+            calls.append(entry_id)
+            return original(entry_id, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "run_entry", counting)
+        catalog.reproduce_table()
+        assert len(calls) == len(set(calls)) == 8

@@ -1,10 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import conefeas, groupinv, operators
-from lyapstein.conefeas import ConeStatus, SubspaceSpec
-from lyapstein.symspace import svec
+from lyapstein.conefeas import ConeBudget, ConeStatus, SubspaceSpec
+from lyapstein.numkernel import DEFAULT_TOL
+from lyapstein.symspace import psd_project, smat, svec
 
 from conftest import random_symmetric
 
@@ -179,3 +183,152 @@ class TestPsdIntersection:
         coords = svec(w)
         proj = spec.basis @ (spec.basis.T @ coords)
         assert np.linalg.norm(proj - coords) <= 1e-7
+
+
+def random_psd_spec(seed):
+    """Span of 1..n(n+1)/2 random symmetric matrices of order 2-4, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, n * (n + 1) // 2 + 1))
+    return conefeas.subspace_from_matrices([random_symmetric(rng, n) for _ in range(k)], n)
+
+
+def single_start_hits(spec, starts, iters):
+    """The kernel run on one start at a time: {start index: hit matrix}."""
+    hits = {}
+    for i in range(len(starts)):
+        for w in conefeas._dykstra_hits(spec.basis, spec.n, starts[i:i + 1], iters,
+                                        DEFAULT_TOL).values():
+            hits[i] = w
+    return hits
+
+
+def reference_dykstra(basis, n, start, iters, tol=DEFAULT_TOL):
+    """One Dykstra run from one start, tested every iteration: the kernel's specification.
+
+    Returns the hit matrix or None.
+    """
+    s_id = svec(np.eye(n))
+    u = basis @ (basis.T @ s_id)
+    uu = u @ u
+    if uu <= tol.feas_tol ** 2:
+        return None
+    x, corr, best_gap, stalled = start, np.zeros_like(start), np.inf, 0
+    for _ in range(iters):
+        w = basis @ (basis.T @ x)
+        a = w + ((1.0 - w @ s_id) / uu) * u
+        if np.linalg.eigvalsh(smat(a))[0] >= -tol.feas_tol:
+            return smat(a)
+        y = a + corr
+        x = svec(psd_project(smat(y)))
+        corr = y - x
+        gap = np.linalg.norm(a - x)
+        if gap < best_gap * (1.0 - 1e-3):
+            best_gap, stalled = gap, 0
+        else:
+            stalled += 1
+            if stalled >= 200 and gap > 10.0 * tol.feas_tol:
+                return None
+    return None
+
+
+class TestBatchedDykstra:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           iters=st.sampled_from([1, 20, 300]))
+    def test_batch_matches_single_starts(self, seed, k, iters):
+        spec = random_psd_spec(seed)
+        starts = conefeas._starts(spec.basis, spec.n, seed, range(k))
+        singles = single_start_hits(spec, starts, iters)
+        for i, start in enumerate(starts):
+            ref = reference_dykstra(spec.basis, spec.n, start, iters)
+            assert (ref is not None) == (i in singles)
+            if ref is not None:
+                assert_allclose(singles[i], ref, rtol=0, atol=1e-12)
+        batch = conefeas._dykstra_hits(spec.basis, spec.n, starts, iters, DEFAULT_TOL)
+        assert list(batch) == sorted(singles)
+        for i, w in batch.items():
+            assert_allclose(w, singles[i], rtol=0, atol=1e-12)
+        first = conefeas._dykstra_hits(spec.basis, spec.n, starts, iters, DEFAULT_TOL,
+                                       first=True)
+        assert list(first) == sorted(singles)[:1]
+
+        budget = ConeBudget(starts=k, projection_iters=iters, ascent_iters=50, seed=seed)
+        dec = conefeas.psd_intersection(spec, budget=budget)
+        if dec.status is ConeStatus.NONTRIVIAL_WITNESS:
+            w = singles[min(singles)]  # the lowest-indexed start that hits wins
+            assert_allclose(dec.witness, w / np.trace(w), rtol=0, atol=1e-12)
+        elif singles:
+            assert dec.status is ConeStatus.TRIVIAL_CERTIFIED  # settled before the search
+
+    def test_lowest_start_wins_over_earlier_hits(self):
+        # start 0 (I/n) and starts 1, 2 miss; start 3 hits, but only after
+        # several higher-indexed starts have hit
+        spec = random_psd_spec(165)
+        starts = conefeas._starts(spec.basis, spec.n, 0, range(16))
+        singles = single_start_hits(spec, starts[:4], 5000)
+        assert list(singles) == [3]
+        assert not single_start_hits(spec, starts[3:4], 100)
+        assert conefeas._dykstra_hits(spec.basis, spec.n, starts[4:], 100, DEFAULT_TOL)
+        dec = conefeas.psd_intersection(spec)
+        assert dec.status is ConeStatus.NONTRIVIAL_WITNESS
+        assert_allclose(dec.witness, singles[3] / np.trace(singles[3]), rtol=0, atol=1e-12)
+
+
+class TestWitnessBudget:
+    @pytest.fixture
+    def kernel_starts(self, monkeypatch):
+        """Start rows handed to the Dykstra kernel, one array per call."""
+        seen = []
+        original = conefeas._dykstra_hits
+
+        def recording(basis, n, starts, *args, **kwargs):
+            seen.append(np.array(starts))
+            return original(basis, n, starts, *args, **kwargs)
+
+        monkeypatch.setattr(conefeas, "_dykstra_hits", recording)
+        return seen
+
+    def test_zero_starts_fall_through_to_ascent(self, kernel_starts):
+        # diag(1, 0) spans a subspace the identity is not in, and the
+        # one-step probe cannot certify; start 0 would hit at once
+        spec = conefeas.subspace_from_matrices([np.diag([1.0, 0.0])], 2)
+        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=0, ascent_iters=50))
+        assert dec.status is ConeStatus.UNDECIDED
+        assert sum(len(s) for s in kernel_starts) == 0
+        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=1, ascent_iters=50))
+        assert dec.status is ConeStatus.NONTRIVIAL_WITNESS
+        assert_allclose(dec.witness, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_one_start_runs_only_identity(self, kernel_starts):
+        spec = random_psd_spec(165)  # start 0 misses here, start 3 hits
+        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=1, ascent_iters=50))
+        assert dec.status is ConeStatus.UNDECIDED
+        rows = np.vstack(kernel_starts)
+        assert rows.shape[0] == 1
+        assert_allclose(rows[0], svec(np.eye(spec.n)) / spec.n)
+
+    def test_sampler_with_zero_starts_is_empty(self):
+        spec = conefeas.subspace_from_matrices([np.eye(3)], 3)
+        assert conefeas.collect_psd_witness_samples(spec, starts=0) == []
+        assert len(conefeas.collect_psd_witness_samples(spec, starts=1)) == 1
+
+    def test_vanishing_trace_functional_has_no_witness(self):
+        spec = conefeas.subspace_from_matrices([np.diag([1.0, -1.0]) + 1e-9 * np.eye(2)], 2)
+        u = spec.basis @ (spec.basis.T @ svec(np.eye(2)))
+        assert u @ u <= DEFAULT_TOL.feas_tol ** 2
+        starts = conefeas._starts(spec.basis, 2, 0, range(4))
+        assert conefeas._dykstra_hits(spec.basis, 2, starts, 100, DEFAULT_TOL) == {}
+        assert conefeas.collect_psd_witness_samples(spec, starts=4, iters=100) == []
+        assert conefeas.psd_intersection(spec).status is ConeStatus.TRIVIAL_CERTIFIED
+
+    def test_sampler_signature(self):
+        # positional use, as in collect_psd_witness_samples(spec, tol, starts, iters, seed)
+        params = list(inspect.signature(conefeas.collect_psd_witness_samples).parameters)
+        assert params == ["spec", "tol", "starts", "iters", "seed"]
+        spec = conefeas.subspace_from_matrices([np.eye(2), np.diag([1.0, -1.0])], 2)
+        samples = conefeas.collect_psd_witness_samples(spec, DEFAULT_TOL, 3, 50, 0)
+        assert 1 <= len(samples) <= 3
+        for w in samples:
+            assert_allclose(np.trace(w), 1.0, atol=1e-12)
+            assert np.linalg.eigvalsh(w)[0] >= -DEFAULT_TOL.feas_tol
