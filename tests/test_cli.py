@@ -151,8 +151,7 @@ class TestFeas:
         assert doc["result"]["status"] == "nontrivial_witness"
 
     def test_capability_exit(self, tmp_path, capsys):
-        path = write_matrix_json(tmp_path / "big.json", np.eye(16).tolist())
-        # order-16 singular irreducible M check trips the enumeration cap
+        # order-16 singular irreducible M check trips the extreme-ray enumeration cap
         rows = (np.eye(16) - np.full((16, 16), 1 / 16)).tolist()
         path = write_matrix_json(tmp_path / "big.json", rows)
         code, _, err = run(capsys, "classify", path)

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import matclass
 from lyapstein.matclass import MClass
-from lyapstein.numkernel import CapabilityError
+from lyapstein.numkernel import CapabilityError, general_eigenvalues
 
 from conftest import random_permutation_matrix
 
@@ -47,7 +50,6 @@ class TestZMatrix:
     def test_shift_invariance_of_m_test(self):
         # comparing s with rho(B) is representation independent: adding t
         # to the shift adds t to the radius of the nonnegative part
-        from lyapstein.numkernel import general_eigenvalues
         s, b = matclass.z_decompose(RANK_ONE_Z)
         rho = general_eigenvalues(b).spectral_radius
         s2 = s + 1.0
@@ -170,6 +172,73 @@ class TestVerifySim:
         with pytest.raises(CapabilityError):
             matclass.verify_sim(np.eye(16))
 
+    def test_classifies_only_maximal_submatrices(self, rng, monkeypatch):
+        # one classify of the input plus one per maximal proper principal
+        # submatrix: n + 1 calls, not 2^n - 1
+        n = 12
+        a = np.eye(n) - random_column_stochastic(rng, n).T
+        calls = []
+        classify = matclass.classify
+
+        def counting(m, tol=matclass.DEFAULT_TOL):
+            calls.append(m.shape[0])
+            return classify(m, tol)
+
+        monkeypatch.setattr(matclass, "classify", counting)
+        assert matclass.verify_sim(a).all_true
+        assert len(calls) == n + 1
+        assert sorted(calls) == [n - 1] * n + [n]
+
+
+def _all_proper_principal_submatrices_invertible_m(a):
+    """Reference: classify every one of the 2^n - 2 proper principal submatrices."""
+    n = a.shape[0]
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            idx = np.array(subset)
+            if matclass.classify(a[np.ix_(idx, idx)]).m_class is not MClass.INVERTIBLE_M:
+                return False
+    return True
+
+
+class TestProperPrincipalSubmatrices:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           density=st.sampled_from([1.0, 0.6, 0.3]),
+           reducible=st.booleans(),
+           offset=st.sampled_from([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.3, -0.3]))
+    def test_maximal_submatrices_decide_all(self, seed, n, density, reducible, offset):
+        # Z-matrices (rho(B) + offset (1 + rho(B))) I - B: the offset puts the
+        # shift at rho(B), inside the singular band, just outside it, or far off
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+        if reducible:
+            k = int(rng.integers(1, n))
+            b[k:, :k] = 0.0
+        rho = general_eigenvalues(b).spectral_radius
+        a = (rho + offset * (1.0 + rho)) * np.eye(n) - b
+        ok, failing = matclass._proper_principal_submatrices_invertible_m(a)
+        assert ok == _all_proper_principal_submatrices_invertible_m(a)
+        assert ok == (not failing)
+        assert all(len(subset) == n - 1 for subset in failing)
+
+    def test_reducible_singular_block(self):
+        # A = rho(C) I - [[C, E], [0, D]] with C positive and rho(D) < rho(C):
+        # exactly the maximal submatrices that keep all of C's block are singular
+        rng = np.random.default_rng(7)
+        c = rng.uniform(0.5, 1.0, size=(3, 3))
+        b = np.zeros((5, 5))
+        b[:3, :3] = c
+        b[:3, 3:] = rng.uniform(0.0, 1.0, size=(3, 2))
+        b[3:, 3:] = rng.uniform(0.0, 0.2, size=(2, 2))
+        a = general_eigenvalues(c).spectral_radius * np.eye(5) - b
+        assert matclass.classify(a).m_class is MClass.SINGULAR_M
+        assert not matclass.is_irreducible(a)
+        ok, failing = matclass._proper_principal_submatrices_invertible_m(a)
+        assert not ok
+        assert failing == [(0, 1, 2, 3), (0, 1, 2, 4)]
+        assert not _all_proper_principal_submatrices_invertible_m(a)
+
 
 class TestSemiconvergent:
     def test_idempotent(self):
@@ -226,7 +295,6 @@ class TestEquivalences:
         for _ in range(200):
             n = int(rng.integers(2, 7))
             b = rng.uniform(0.0, 1.0, size=(n, n))
-            from lyapstein.numkernel import general_eigenvalues
             rho = general_eigenvalues(b).spectral_radius
             margin = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.5)
             a = (rho + margin) * np.eye(n) - b
@@ -262,7 +330,6 @@ class TestMonotonicityOfInverse:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             b = rng.uniform(0.0, 1.0, size=(n, n))
-            from lyapstein.numkernel import general_eigenvalues
             rho = general_eigenvalues(b).spectral_radius
             a = (rho + rng.uniform(0.1, 1.0)) * np.eye(n) - b
             inv = np.linalg.inv(a)
