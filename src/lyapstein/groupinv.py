@@ -6,30 +6,30 @@ most one, i.e. ``rank(M^2) == rank(M)``.  Computation goes through a rank
 factorization ``M = C @ F`` built from column-pivoted QR: the inverse
 exists iff ``F @ C`` is invertible, and then ``M# = C @ (FC)^-2 @ F``.
 
-Also here: enumeration of the extreme rays of ``range(A) intersected with the nonnegative orthant`` (support-set enumeration, exact for small orders), which backs
-the nonnegativity-on-range test.
+Also here: the nonnegativity-on-range test, "does ``x >= 0, x in range(A)``
+imply ``A# x >= 0``?", decided exactly by at most ``n`` linear programs
+over the unit-1-norm slice of ``range(A)`` intersected with the orthant.
+For a singular irreducible M-matrix that slice is empty, so one infeasible
+LP settles the question.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkernel import (
     DEFAULT_TOL,
-    CapabilityError,
     InconsistencyError,
     Tolerances,
     as_square,
+    lp_solve,
     null_basis,
     numerical_rank,
     qr_column_pivoted,
     range_basis,
 )
-
-_RAY_ENUM_MAX_ORDER = 15
 
 
 def index_of(m, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -144,67 +144,43 @@ def normality_implies_group_inverse_check(m, tol: Tolerances = DEFAULT_TOL) -> b
     return True
 
 
-def orthant_slice_extreme_rays(q, n: int, tol: Tolerances = DEFAULT_TOL):
-    """Extreme rays of ``{x >= 0 : q @ x = 0}`` by support-set enumeration.
-
-    ``q`` may have zero rows (the slice is then the whole orthant).  Exact
-    for a pointed polyhedral cone: a support ``S`` carries an extreme ray
-    iff the columns of ``q`` restricted to ``S`` have a one-dimensional
-    null space whose generator is strictly one-signed on ``S``.  Rays are
-    returned normalized to unit 1-norm.  Orders above 15 are refused
-    (2^n support sets).
-    """
-    if n > _RAY_ENUM_MAX_ORDER:
-        raise CapabilityError(f"extreme-ray enumeration limited to order {_RAY_ENUM_MAX_ORDER}, got {n}")
-    q = np.asarray(q, dtype=float).reshape(-1, n) if np.asarray(q).size else np.zeros((0, n))
-    rays = []
-    for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            cols = q[:, support]
-            if q.shape[0] == 0:
-                if size != 1:
-                    continue
-                gen = np.ones(1)
-            else:
-                _, sv, vh = np.linalg.svd(cols)
-                rank = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-                if size - rank != 1:
-                    continue
-                gen = vh[-1]
-            if np.min(np.abs(gen)) <= tol.rank_tol * np.max(np.abs(gen)):
-                continue  # actual support is smaller; covered by a subset
-            if np.all(gen > 0) or np.all(gen < 0):
-                ray = np.zeros(n)
-                ray[list(support)] = np.abs(gen)
-                rays.append(ray / np.sum(ray))
-    return rays
-
-
-def range_orthant_extreme_rays(a, tol: Tolerances = DEFAULT_TOL):
-    """Extreme rays of ``range(A) intersected with the nonnegative orthant``."""
-    a = as_square(a)
-    # range(A) = null(A^T)^perp, so membership is A^T-null-basis^T x = 0
-    q = null_basis(a.T, tol).T
-    return orthant_slice_extreme_rays(q, a.shape[0], tol)
-
-
 @dataclass(frozen=True)
 class NonnegOnRangeReport:
     ok: bool
-    rays: list
-    min_component: float  # most negative entry of inverse-mapped rays (0 when no rays)
+    witness: np.ndarray | None  # a minimising x when ok is False
+    min_component: float  # least entry of A# x over x in range(A), x >= 0, 1^T x = 1 (0 if none)
 
 
 def nonneg_on_range(a, a_sharp, tol: Tolerances = DEFAULT_TOL) -> NonnegOnRangeReport:
     """Does ``x >= 0, x in range(A)`` imply ``A# x >= 0``?
 
-    Decided exactly on the extreme rays of the polyhedral cone
-    ``range(A) intersected with the orthant``; vacuously true when that cone is ``{0}``.
+    Decided by at most ``n`` LPs over the polytope ``P = {x >= 0 : 1^T x = 1,
+    x in range(A)}``, the unit-1-norm slice of ``range(A)`` intersected with
+    the orthant: LP ``i`` minimises ``(A#)_i x`` over ``P``.  The LPs share
+    ``P``, so an infeasible first LP means the cone is ``{0}`` and the
+    implication holds vacuously.  Otherwise the least optimum is the least
+    entry of ``A# x`` over ``x in P``, attained at a vertex (an extreme ray
+    of the cone), and a negative one comes with its minimiser as the witness.
     """
     a = as_square(a)
     a_sharp = as_square(a_sharp)
-    rays = range_orthant_extreme_rays(a, tol)
-    if not rays:
-        return NonnegOnRangeReport(True, [], 0.0)
-    worst = min(float(np.min(a_sharp @ r)) for r in rays)
-    return NonnegOnRangeReport(worst >= -tol.feas_tol, rays, worst)
+    n = a.shape[0]
+    # range(A) = null(A^T)^perp, so membership is A^T-null-basis^T x = 0
+    q = null_basis(a.T, tol).T
+    a_eq = np.vstack([q, np.ones((1, n))])
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[-1] = 1.0
+    best = None
+    for i, row in enumerate(a_sharp):
+        res = lp_solve(row, a_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, tol=tol)
+        if i == 0 and res.status == "infeasible":
+            break
+        if res.status != "optimal":
+            raise InconsistencyError("LPs over one feasible set disagree",
+                                     {"row": i, "status": res.status})
+        if best is None or res.objective < best.objective:
+            best = res
+    if best is None:
+        return NonnegOnRangeReport(True, None, 0.0)
+    ok = best.objective >= -tol.feas_tol
+    return NonnegOnRangeReport(ok, None if ok else best.x, best.objective)

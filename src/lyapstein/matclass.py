@@ -244,15 +244,14 @@ def verify_sim(a, tol: Tolerances = DEFAULT_TOL) -> SimReport:
     """Verify every singular-irreducible-M property by its own route.
 
     Proper principal submatrices are checked through the ``n`` maximal
-    ones only (inheritance theorem, see the module docstring).  The
-    extreme rays of the range/orthant cone are enumerated exactly, so
-    orders above 15 are refused.
+    ones only (inheritance theorem, see the module docstring).
+    Nonnegativity of the group inverse on the range is decided by LP
+    (:func:`groupinv.nonneg_on_range`): ``range(A)`` of a singular
+    irreducible M-matrix meets the orthant only at ``0``, so one
+    infeasible LP settles it at any order.
     """
     a = as_square(a)
     n = a.shape[0]
-    if n > groupinv._RAY_ENUM_MAX_ORDER:
-        raise CapabilityError("verify_sim enumerates the extreme rays of the range/orthant "
-                              f"cone; order limited to {groupinv._RAY_ENUM_MAX_ORDER}")
     report = classify(a, tol)
     if report.m_class is not MClass.SINGULAR_M or not report.is_irreducible:
         raise ValueError("verify_sim requires a singular irreducible M-matrix")
@@ -273,9 +272,7 @@ def verify_sim(a, tol: Tolerances = DEFAULT_TOL) -> SimReport:
     witnesses["group_inverse_residuals"] = gi.residuals
 
     if gi.exists:
-        nr = groupinv.nonneg_on_range(a, gi.inverse, tol)
-        nonneg_ok = nr.ok
-        witnesses["range_orthant_rays"] = nr.rays
+        nonneg_ok = groupinv.nonneg_on_range(a, gi.inverse, tol).ok
     else:
         nonneg_ok = False
 

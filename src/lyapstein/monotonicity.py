@@ -71,15 +71,10 @@ def decide_trivial_matrix(a, tol: Tolerances = DEFAULT_TOL) -> MonotonicityVerdi
                                    fast_path="singular_irreducible_m")
 
     # index defect: w with A^2 w = 0 but A w != 0 gives the witness x = A w
-    kernel2 = null_basis(a @ a, tol)
-    if kernel2.shape[1]:
-        images = a @ kernel2
-        norms = np.linalg.norm(images, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] > tol.feas_tol:
-            x = images[:, j] / norms[j]
-            x *= _first_nonzero_sign(x)  # A x = 0, so the sign is free
-            return MonotonicityVerdict(Verdict.NO, Verdict.UNDECIDED, witness=x)
+    x = _index_defect_image(a, tol)
+    if x is not None:
+        x *= _first_nonzero_sign(x)  # A x = 0, so the sign is free
+        return MonotonicityVerdict(Verdict.NO, Verdict.UNDECIDED, witness=x)
 
     decision = conefeas.orthant_intersection(
         SubspaceSpec("vec", n, range_basis(a @ a, tol)), tol)
@@ -143,9 +138,8 @@ def _in_range_residual(x_coords, basis):
     return float(np.linalg.norm(x_coords - basis @ (basis.T @ x_coords)))
 
 
-def _index_defect_image(op: OperatorMatrix, tol: Tolerances):
-    """A unit-norm element of null(T) cap range(T), if the index exceeds one."""
-    m = op.mat
+def _index_defect_image(m, tol: Tolerances):
+    """A unit-norm element of null(M) cap range(M), if the index exceeds one."""
     kernel2 = null_basis(m @ m, tol)
     if kernel2.shape[1] == 0:
         return None
@@ -172,7 +166,7 @@ def decide_trivial_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
             if hit.operator == op.kind.value and hit.conclusion == "trivial":
                 return MonotonicityVerdict(Verdict.YES, Verdict.YES, fast_path=hit.rule)
 
-    defect = _index_defect_image(op, tol)
+    defect = _index_defect_image(op.mat, tol)
     if defect is not None:
         # X = T(W) with T(X) = 0: in the range, killed by T, nonzero
         sign = _first_nonzero_sign(defect)
@@ -258,7 +252,7 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
         if found is not None:
             return refuted(found)
 
-    defect = _index_defect_image(op, tol)
+    defect = _index_defect_image(op.mat, tol)
     if defect is not None:
         for sign in (1.0, -1.0):
             found = _verify_range_refutation(op, sign * defect, basis, tol)

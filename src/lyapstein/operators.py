@@ -18,6 +18,10 @@ a scalar multiple of ``T``), the cross-nonpositivity that makes both
 operators behave like Z-matrices on the semidefinite cone, and solvability
 of ``T(X) = Q`` under the stability hypotheses that guarantee definite
 solutions.
+
+Materialization is refused with :class:`CapabilityError` when the
+``d x d`` matrix would exceed ``MAX_DENSE_OPERATOR_BYTES`` (256 MiB,
+orders above 107).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from .numkernel import (
     DEFAULT_TOL,
+    CapabilityError,
     InconsistencyError,
     Tolerances,
     as_square,
@@ -38,6 +43,12 @@ from .numkernel import (
     require_symmetric,
 )
 from .symspace import PsdClass, psd_classify, smat, svec, sym_dim
+
+
+# Largest d x d float64 coordinate matrix _materialize will allocate: desk
+# scale (order 50, d = 1275, 13 MB) fits with room to spare, order 200
+# (d = 20100, 3.2 GB) is refused before any allocation.
+MAX_DENSE_OPERATOR_BYTES = 256 * 2**20
 
 
 class OperatorKind(enum.Enum):
@@ -78,6 +89,10 @@ class OperatorMatrix:
 
 def _materialize(action, n: int) -> np.ndarray:
     d = sym_dim(n)
+    if d * d * 8 > MAX_DENSE_OPERATOR_BYTES:
+        raise CapabilityError(
+            f"dense operator of order {n} needs a {d} x {d} float64 matrix "
+            f"({d * d * 8} bytes), over the {MAX_DENSE_OPERATOR_BYTES}-byte limit")
     mat = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)

@@ -151,11 +151,17 @@ class TestFeas:
         assert doc["result"]["status"] == "nontrivial_witness"
 
     def test_capability_exit(self, tmp_path, capsys):
-        # order-16 singular irreducible M check trips the extreme-ray enumeration cap
+        # an order-200 Lyapunov operator (d = 20100, 3.2 GB dense) trips the size guard
+        path = write_matrix_json(tmp_path / "big.json", np.eye(200).tolist())
+        code, _, err = run(capsys, "operator", "lyapunov", path)
+        assert code == cli.EXIT_CAPABILITY
+
+    def test_classify_order_sixteen(self, tmp_path, capsys):
         rows = (np.eye(16) - np.full((16, 16), 1 / 16)).tolist()
         path = write_matrix_json(tmp_path / "big.json", rows)
-        code, _, err = run(capsys, "classify", path)
-        assert code == cli.EXIT_CAPABILITY
+        code, out, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["sim"]["all_true"]
 
 
 class TestReproduce:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from lyapstein import conefeas, groupinv, operators
+from lyapstein import conefeas, operators
 from lyapstein.conefeas import ConeBudget, ConeStatus, SubspaceSpec
 from lyapstein.numkernel import DEFAULT_TOL
 from lyapstein.symspace import psd_project, smat, svec
 
-from conftest import random_symmetric
+from conftest import orthant_slice_extreme_rays, random_symmetric
 
 
 def oracle_psd_nontrivial(mats, sweep_step=1e-3, band=0.0):
@@ -98,7 +98,7 @@ class TestOrthantIntersection:
             spec = conefeas.subspace_from_vectors(
                 [rng.standard_normal(n) for _ in range(k)], n)
             comp = conefeas._complement_basis(spec.basis, conefeas.DEFAULT_TOL)
-            rays = groupinv.orthant_slice_extreme_rays(comp.T, n)
+            rays = orthant_slice_extreme_rays(comp.T, n)
             dec = conefeas.orthant_intersection(spec)
             assert (dec.status is ConeStatus.NONTRIVIAL_WITNESS) == bool(rays)
 

@@ -1,11 +1,11 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import groupinv, operators
-from lyapstein.numkernel import CapabilityError
+from lyapstein.numkernel import DEFAULT_TOL, null_basis
 
-from conftest import random_symmetric, well_conditioned
+from conftest import orthant_slice_extreme_rays, random_symmetric, well_conditioned
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 RANK_ONE = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -137,7 +137,8 @@ class TestNonnegOnRange:
     def test_rank_one_vacuous(self):
         res = groupinv.group_inverse(RANK_ONE)
         rep = groupinv.nonneg_on_range(RANK_ONE, res.inverse)
-        assert rep.ok and rep.rays == []  # range meets the orthant only at zero
+        # range meets the orthant only at zero
+        assert rep.ok and rep.witness is None and rep.min_component == 0.0
 
     def test_centering_matrix(self):
         a = np.eye(3) - np.full((3, 3), 1 / 3)
@@ -147,25 +148,74 @@ class TestNonnegOnRange:
 
     def test_identity(self):
         rep = groupinv.nonneg_on_range(np.eye(3), np.eye(3))
-        assert rep.ok and len(rep.rays) == 3  # the coordinate rays
+        assert rep.ok and rep.min_component == 0.0 and rep.witness is None
 
-    def test_order_cap(self):
-        with pytest.raises(CapabilityError):
-            groupinv.orthant_slice_extreme_rays(np.zeros((0, 16)), 16)
+    def test_negative_witness(self):
+        # A = A# = diag(1, -1): e2 lies in the range and A# e2 = -e2
+        a = np.diag([1.0, -1.0])
+        rep = groupinv.nonneg_on_range(a, a)
+        assert not rep.ok and rep.min_component == -1.0
+        assert_allclose(rep.witness, [0.0, 1.0])
+
+    def test_coordinate_ray_in_range(self):
+        # A = U V^T with e1 a column of U, so e1 lies in range(A); a rounding-
+        # level null-basis entry must not hide the ray e1 from the decision
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 6))
+            u = np.column_stack([np.eye(n)[:, 0], rng.standard_normal((n, n - 2))])
+            a = u @ rng.standard_normal((n, n - 1)).T
+            res = groupinv.group_inverse(a)
+            if not res.exists or np.min(res.inverse[:, 0]) >= -1e-7:
+                continue
+            checked += 1
+            rep = groupinv.nonneg_on_range(a, res.inverse)
+            assert not rep.ok
+            x = rep.witness
+            q = null_basis(a.T).T
+            assert np.min(x) >= -1e-12 and abs(np.sum(x) - 1.0) <= 1e-9
+            assert np.linalg.norm(q @ x) <= 1e-9
+            assert np.min(res.inverse @ x) < 0.0
+        assert checked > 200
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), data=st.data())
+    def test_matches_ray_enumeration(self, seed, n, data):
+        # generic A = U V^T of rank r: the LP value is the least entry of A# r
+        # over the unit-1-norm extreme rays r of range(A) cap the orthant
+        r = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, r)) @ rng.standard_normal((n, r)).T
+        res = groupinv.group_inverse(a)
+        if not res.exists:
+            return
+        rays = orthant_slice_extreme_rays(null_basis(a.T).T, n)
+        want = min((float(np.min(res.inverse @ ray)) for ray in rays), default=0.0)
+        rep = groupinv.nonneg_on_range(a, res.inverse)
+        assert rep.ok == (want >= -DEFAULT_TOL.feas_tol)
+        assert abs(rep.min_component - want) <= 1e-9 * (1.0 + abs(want))
+        assert (rep.witness is None) == rep.ok
 
 
 class TestExtremeRays:
     def test_whole_orthant(self):
-        rays = groupinv.orthant_slice_extreme_rays(np.zeros((0, 3)), 3)
+        rays = orthant_slice_extreme_rays(np.zeros((0, 3)), 3)
         assert sorted(tuple(r) for r in rays) == sorted(tuple(r) for r in np.eye(3))
 
     def test_diagonal_slice(self):
         # x1 = x2 plane: rays (1,1,0)/2 and (0,0,1)
-        rays = groupinv.orthant_slice_extreme_rays(np.array([[1.0, -1.0, 0.0]]), 3)
+        rays = orthant_slice_extreme_rays(np.array([[1.0, -1.0, 0.0]]), 3)
         as_set = sorted(tuple(np.round(r, 12)) for r in rays)
         assert as_set == [(0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
 
     def test_trivial_slice(self):
         # x1 = -x2 admits no nonzero nonnegative point
-        rays = groupinv.orthant_slice_extreme_rays(np.array([[1.0, 1.0]]), 2)
+        rays = orthant_slice_extreme_rays(np.array([[1.0, 1.0]]), 2)
         assert rays == []
+
+    def test_rounding_noise_column(self):
+        # the first column is rounding noise next to ||q||_2, so e1 is a ray
+        rays = orthant_slice_extreme_rays(np.array([[6e-15, 1.0, -1.0]]), 3)
+        as_set = sorted(tuple(np.round(r, 12)) for r in rays)
+        assert as_set == [(0.0, 0.5, 0.5), (1.0, 0.0, 0.0)]

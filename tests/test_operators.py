@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lyapstein import operators
+from lyapstein.numkernel import CapabilityError
 from lyapstein.operators import (
     SingularOperatorError,
     adjoint,
@@ -83,6 +86,23 @@ class TestConstruction:
 
     def test_identity_operator_characterizations(self):
         assert_allclose(lyapunov(0.5 * np.eye(4)).mat, np.eye(sym_dim(4)), atol=1e-14)
+
+    def test_size_guard_refuses_before_allocating(self):
+        # order 108 is the first over the limit; order 200 would need 3.2 GB
+        tracemalloc.start()
+        try:
+            for n in (108, 200):
+                for make in (lyapunov, stein):
+                    with pytest.raises(CapabilityError):
+                        make(np.eye(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_size_guard_admits_desk_scale(self):
+        # order 50: d = 1275, a 13 MB coordinate matrix
+        assert lyapunov(np.eye(50)).dim == sym_dim(50)
 
 
 class TestAlgebra:
