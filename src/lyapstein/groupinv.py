@@ -23,12 +23,12 @@ from .numkernel import (
     DEFAULT_TOL,
     InconsistencyError,
     Tolerances,
+    _svd_split,
     as_square,
     lp_solve,
     null_basis,
     numerical_rank,
     qr_column_pivoted,
-    range_basis,
 )
 
 
@@ -59,28 +59,37 @@ class GroupInverseResult:
 
 
 def group_inverse(m, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
-    """Group inverse via rank factorization; non-existence is a result, not an error."""
+    """Group inverse via rank factorization; non-existence is a result, not an error.
+
+    One column-pivoted QR gives both the rank factorization and the rank
+    decision.  ``F @ C`` counts as singular when its least singular value is
+    within ``rank_tol`` of the largest pivot ``|R_00|``, the scale of that
+    decision (relative to ``F @ C``'s own largest one, rounding noise would
+    pass for a nilpotent rank-one ``M``).  When the inverse exists the index
+    is 0 (full rank) or 1; otherwise, and for ``M = 0``, it comes from
+    :func:`index_of`.
+    """
     m = as_square(m)
     n = m.shape[0]
-    idx = index_of(m, tol)
-    q, _, perm, rank = qr_column_pivoted(m, tol)
+    q, r, _, rank = qr_column_pivoted(m, tol)
     if rank == 0:
         # zero matrix: its own group inverse
         z = np.zeros_like(m)
-        return GroupInverseResult(True, 0 if n == 0 else idx, z, (0.0, 0.0, 0.0))
+        return GroupInverseResult(True, 0 if n == 0 else index_of(m, tol), z, (0.0, 0.0, 0.0))
     c = q[:, :rank]
     f = c.T @ m
     fc = f @ c
-    sv = np.linalg.svd(fc, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol.rank_tol * sv[0]:
-        return GroupInverseResult(False, idx, None, None)
+    if np.linalg.svd(fc, compute_uv=False)[-1] <= tol.rank_tol * abs(r[0, 0]):
+        return GroupInverseResult(False, index_of(m, tol), None, None)
     x = c @ np.linalg.solve(fc, np.linalg.solve(fc, f))
+    mx = m @ x
+    xm = x @ m
     res = (
-        float(np.linalg.norm(m @ x @ m - m)),
-        float(np.linalg.norm(x @ m @ x - x)),
-        float(np.linalg.norm(m @ x - x @ m)),
+        float(np.linalg.norm(mx @ m - m)),
+        float(np.linalg.norm(xm @ x - x)),
+        float(np.linalg.norm(mx - xm)),
     )
-    return GroupInverseResult(True, idx, x, res)
+    return GroupInverseResult(True, 0 if rank == n else 1, x, res)
 
 
 @dataclass(frozen=True)
@@ -100,23 +109,24 @@ class ExistenceAudit:
 def group_inverse_exists_audit(m, tol: Tolerances = DEFAULT_TOL) -> ExistenceAudit:
     """Check the four existence characterizations and demand unanimity.
 
-    Disagreement raises :class:`InconsistencyError` carrying the dissenting
-    items.
+    The range and null bases come from one SVD.  Disagreement raises
+    :class:`InconsistencyError` carrying the dissenting items.
     """
     m = as_square(m)
     n = m.shape[0]
-    m2 = m @ m
-    r_basis = range_basis(m, tol)
-    n_basis = null_basis(m, tol)
-    stacked = np.hstack([r_basis, n_basis]) if n else np.zeros((0, 0))
+    axioms = group_inverse(m, tol).exists
+    u, _, vh, rank_m = _svd_split(m, tol)
+    stacked = np.hstack([u[:, :rank_m], vh[rank_m:].T])
+    nullity = vh.shape[0] - rank_m
+    del u, vh
     complementary = numerical_rank(stacked, tol) == n
-    rank_m = r_basis.shape[1]
+    del stacked
+    m2 = m @ m
     scale = np.linalg.norm(m2)
     m2n = m2 / scale if scale > 0 else m2
     rank_m2 = numerical_rank(m2n, tol)
     range_eq = rank_m2 == rank_m
-    null_eq = (n - rank_m2) == n_basis.shape[1]
-    axioms = group_inverse(m, tol).exists
+    null_eq = (n - rank_m2) == nullity
     audit = ExistenceAudit(complementary, range_eq, null_eq, axioms)
     flags = {
         "complementary_subspaces": complementary,

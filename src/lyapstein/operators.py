@@ -14,14 +14,27 @@ adjoint is the plain transpose of this matrix, and both operators of
 
 The module also detects structure: idempotency (operationally and via
 the closed-form matrix criteria), generalized k-potency (``T^k`` equal to
-a scalar multiple of ``T``), the cross-nonpositivity that makes both
-operators behave like Z-matrices on the semidefinite cone, and solvability
-of ``T(X) = Q`` under the stability hypotheses that guarantee definite
-solutions.
+a scalar multiple of ``T``), and the cross-nonpositivity that makes both
+operators behave like Z-matrices on the semidefinite cone.
+
+``T(X) = Q`` is solved on ``A``'s n-by-n Schur form (Bartels & Stewart,
+Comm. ACM 15(9), 1972; Stein equations through the bilinear transform),
+not through the d-by-d matrix.  On symmetric
+matrices the operators' eigenvalues are ``l_i + l_j`` and ``1 - l_i l_j``
+over pairs ``i <= j`` of eigenvalues of ``A`` (Horn & Johnson, Topics in
+Matrix Analysis, 1991, section 4.4), so the same spectrum decides
+singularity: the operator is singular when the smallest of these is
+below ``rank_tol`` times the largest.  That rule is one-sided against the
+numerical rank of the coordinate matrix: a singular verdict always has
+a rank-deficient matrix, but a strongly non-normal ``A`` can give a
+numerically rank-deficient matrix that is still solved.  The residual
+is re-checked through the coordinate matrix, and definiteness under the
+stability hypotheses that guarantee it.
 
 Materialization is refused with :class:`CapabilityError` when the
 ``d x d`` matrix would exceed ``MAX_DENSE_OPERATOR_BYTES`` (256 MiB,
-orders above 107).
+orders above 107).  It applies the operator to the basis elements of one
+upper-triangle row at a time, ``n`` stacked applications.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .numkernel import (
     DEFAULT_TOL,
@@ -39,10 +53,9 @@ from .numkernel import (
     as_square,
     general_eigenvalues,
     null_basis,
-    numerical_rank,
     require_symmetric,
 )
-from .symspace import PsdClass, psd_classify, smat, svec, sym_dim
+from .symspace import SQRT2, PsdClass, _triu_indices, psd_classify, smat, svec, sym_dim
 
 
 # Largest d x d float64 coordinate matrix _materialize will allocate: desk
@@ -88,16 +101,29 @@ class OperatorMatrix:
 
 
 def _materialize(action, n: int) -> np.ndarray:
+    """Coordinate matrix of ``action``, one upper-triangle row at a time.
+
+    ``action`` must accept a stack of symmetric matrices.  The basis
+    elements of row ``i`` (the ``smat`` of consecutive unit coordinate
+    vectors) go through it as one ``(n - i, n, n)`` stack, so the loop
+    runs ``n`` times instead of ``d``; the columns are bit-identical to
+    applying it to each basis element alone.
+    """
     d = sym_dim(n)
     if d * d * 8 > MAX_DENSE_OPERATOR_BYTES:
         raise CapabilityError(
             f"dense operator of order {n} needs a {d} x {d} float64 matrix "
             f"({d * d * 8} bytes), over the {MAX_DENSE_OPERATOR_BYTES}-byte limit")
+    (rows, cols), scale = _triu_indices(n)
     mat = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        mat[:, j] = svec(action(smat(e)))
+    start = 0
+    for i in range(n):
+        k = np.arange(n - i)
+        basis = np.zeros((n - i, n, n))
+        basis[k, i, i + k] = basis[k, i + k, i] = 1.0 / SQRT2
+        basis[0, i, i] = 1.0
+        mat[:, start:start + n - i] = (action(basis)[:, rows, cols] * scale).T
+        start += n - i
     return mat
 
 
@@ -261,29 +287,54 @@ def z_operator_spot_check(op: OperatorMatrix, trials: int = 100, seed: int = 0,
 
 
 def solve(op: OperatorMatrix, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``T(X) = Q`` through the d-by-d coordinate system.
+    """Solve ``T(X) = Q`` for a Lyapunov or Stein operator on ``A``'s Schur form.
 
-    A singular operator raises :class:`SingularOperatorError` carrying an
-    orthonormal kernel basis.  When the operator is a Lyapunov operator of
-    a positive stable matrix (or a Stein operator of a Schur stable one)
-    and ``Q`` is positive definite, the solution is checked to be positive
-    definite as the theory guarantees.
+    One eigenvalue computation of ``A`` decides singularity: the operator's
+    eigenvalues on the symmetric space are ``mu_ij = l_i + l_j`` (Lyapunov)
+    or ``1 - l_i l_j`` (Stein) for ``i <= j``, and it is singular iff
+    ``min |mu| <= rank_tol * max |mu|``.  A singular operator raises
+    :class:`SingularOperatorError` carrying an orthonormal kernel basis of
+    the coordinate matrix.  Since ``sigma_min(T) <= min |mu|`` and
+    ``sigma_max(T) >= max |mu|``, every singular verdict is also rank
+    deficient by the relative singular-value cut.  The converse fails for
+    strongly non-normal ``A``: its operator can be numerically rank
+    deficient while no ``mu`` is small.  It is solved, or refused with
+    :class:`InconsistencyError` when it is too ill-conditioned for the
+    computed solution to pass the checks below.
+
+    A nonsingular Lyapunov operator is solved by Bartels-Stewart
+    (:func:`scipy.linalg.solve_continuous_lyapunov`); a Stein operator by
+    :func:`scipy.linalg.solve_discrete_lyapunov`, which from order 10 up
+    maps it to a Lyapunov equation by the bilinear transform and below that
+    solves the ``n^2``-dimensional Kronecker system.  The result is
+    symmetrized and its residual re-checked through the coordinate matrix.
+    When the operator is a Lyapunov operator of a positive stable matrix
+    (or a Stein operator of a Schur stable one) and ``Q`` is positive
+    definite, the solution is checked to be positive definite as the
+    theory guarantees.  Operators without a base matrix raise ``ValueError``.
     """
     q = require_symmetric(q, tol)
+    if op.kind is OperatorKind.GENERAL or op.base is None:
+        raise ValueError("solve handles Lyapunov or Stein operators only")
     if q.shape[0] != op.n:
         raise ValueError("right-hand side order mismatch")
-    d = op.dim
-    if numerical_rank(op.mat, tol) < d:
+    spectrum = general_eigenvalues(op.base, tol)
+    lam = spectrum.values
+    (i, j), _ = _triu_indices(op.n)
+    mu = np.abs(lam[i] + lam[j] if op.kind is OperatorKind.LYAPUNOV else 1.0 - lam[i] * lam[j])
+    if mu.size and mu.min() <= tol.rank_tol * mu.max():
         kernel = [smat(col) for col in null_basis(op.mat, tol).T]
         raise SingularOperatorError("operator is singular", kernel)
-    x_coords = np.linalg.solve(op.mat, svec(q))
-    x = smat(x_coords)
+    if op.kind is OperatorKind.LYAPUNOV:
+        x = scipy.linalg.solve_continuous_lyapunov(op.base, q)
+    else:
+        x = scipy.linalg.solve_discrete_lyapunov(op.base, q)
+    x = 0.5 * (x + x.T)
     residual = np.linalg.norm(apply(op, x) - q)
     if residual > tol.feas_tol * max(1.0, np.linalg.norm(q)):
         raise InconsistencyError("solve residual exceeds tolerance",
                                  {"residual": float(residual)})
-    if op.base is not None and psd_classify(q, tol).classification is PsdClass.POSITIVE_DEFINITE:
-        spectrum = general_eigenvalues(op.base, tol)
+    if psd_classify(q, tol).classification is PsdClass.POSITIVE_DEFINITE:
         margin = tol.rank_tol * (1.0 + spectrum.spectral_radius)
         guaranteed = (
             (op.kind is OperatorKind.LYAPUNOV and spectrum.is_positive_stable(margin))

@@ -3,12 +3,35 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import groupinv, operators
-from lyapstein.numkernel import DEFAULT_TOL, null_basis
+from lyapstein.numkernel import DEFAULT_TOL, null_basis, numerical_rank, range_basis
 
 from conftest import orthant_slice_extreme_rays, random_symmetric, well_conditioned
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 RANK_ONE = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def matrix_of_index(rng, k, extra):
+    """``V diag(N_k, B) V^-1``: a nilpotent Jordan block of order ``k`` (index
+    ``k``) beside an invertible ``B`` of order ``extra``."""
+    n = max(k + extra, 1)
+    core = np.zeros((n, n))
+    core[:k, :k] = np.eye(k, k=1)
+    if n > k:
+        core[k:, k:] = well_conditioned(rng, n - k, cond_cap=10.0)
+    v = well_conditioned(rng, n, cond_cap=10.0)
+    return v @ core @ np.linalg.inv(v)
+
+
+def two_svd_audit(m, tol=DEFAULT_TOL):
+    """The audit's first three flags from separate range and null SVDs."""
+    n = m.shape[0]
+    r, k = range_basis(m, tol), null_basis(m, tol)
+    m2 = m @ m
+    scale = np.linalg.norm(m2)
+    rank_m2 = numerical_rank(m2 / scale if scale > 0 else m2, tol)
+    return (numerical_rank(np.hstack([r, k]), tol) == n, rank_m2 == r.shape[1],
+            n - rank_m2 == k.shape[1])
 
 
 def spectral_group_inverse(s):
@@ -42,6 +65,33 @@ class TestGroupInverse:
         res = groupinv.group_inverse(NILPOTENT)
         assert not res.exists and res.index == 2
         assert res.inverse is None
+
+    def test_similar_nilpotent_rank_one_has_none(self):
+        # F C is 1 x 1 rounding noise: relative to its own size it passed as
+        # invertible and gave entries near 3.7e33
+        v = np.array([[1.0, 2.0], [0.3, -1.7]])
+        m = v @ NILPOTENT @ np.linalg.inv(v)
+        res = groupinv.group_inverse(m)
+        assert not res.exists and res.index == 2
+        assert res.inverse is None and res.residuals is None
+        assert not groupinv.group_inverse_exists_audit(m).exists
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 4), extra=st.integers(0, 4))
+    def test_index_residuals_and_audit(self, seed, k, extra):
+        m = matrix_of_index(np.random.default_rng(seed), k, extra)
+        res = groupinv.group_inverse(m)
+        assert res.index == groupinv.index_of(m)
+        assert res.exists == (res.index <= 1)
+        if res.exists:
+            x = res.inverse
+            assert res.residuals == (float(np.linalg.norm(m @ x @ m - m)),
+                                     float(np.linalg.norm(x @ m @ x - x)),
+                                     float(np.linalg.norm(m @ x - x @ m)))
+        audit = groupinv.group_inverse_exists_audit(m)
+        assert (audit.complementary_subspaces, audit.range_of_square_equals_range,
+                audit.null_of_square_equals_null) == two_svd_audit(m)
+        assert audit.axioms_solvable == res.exists
 
     def test_rank_one_spectral(self):
         res = groupinv.group_inverse(RANK_ONE)

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import operators
-from lyapstein.numkernel import CapabilityError
+from lyapstein.numkernel import DEFAULT_TOL, CapabilityError, InconsistencyError, numerical_rank
 from lyapstein.operators import (
     SingularOperatorError,
     adjoint,
@@ -15,6 +16,7 @@ from lyapstein.operators import (
     is_idempotent,
     l_idempotent_expected,
     lyapunov,
+    make_operator,
     op_power,
     operator_from_matrix,
     orthogonal_covariance_check,
@@ -23,12 +25,41 @@ from lyapstein.operators import (
     stein,
     z_operator_spot_check,
 )
-from lyapstein.symspace import svec, sym_dim
+from lyapstein.symspace import smat, svec, sym_dim
 
-from conftest import random_orthogonal, random_symmetric
+from conftest import random_orthogonal, random_symmetric, well_conditioned
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+KINDS = ("lyapunov", "stein")
+
+
+def column_loop(action, n):
+    """Reference build: the action applied to one basis element per column."""
+    d = sym_dim(n)
+    mat = np.empty((d, d))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = 1.0
+        mat[:, j] = svec(action(smat(e)))
+    return mat
+
+
+def diagonalizable(rng, eigenvalues):
+    """``V diag(eigenvalues) V^-1`` with a well-conditioned ``V``."""
+    v = well_conditioned(rng, len(eigenvalues), cond_cap=10.0)
+    return v @ np.diag(eigenvalues) @ np.linalg.inv(v)
+
+
+def assert_singular(op, rng):
+    with pytest.raises(SingularOperatorError) as err:
+        solve(op, random_symmetric(rng, op.n))
+    kernel = err.value.kernel
+    assert kernel
+    for k in kernel:
+        assert np.linalg.norm(apply(op, k)) <= DEFAULT_TOL.feas_tol
+    # the rank oracle agrees: sigma_min(T) <= min |mu| and sigma_max(T) >= max |mu|
+    assert numerical_rank(op.mat) < op.dim
 
 
 class TestConstruction:
@@ -103,6 +134,13 @@ class TestConstruction:
     def test_size_guard_admits_desk_scale(self):
         # order 50: d = 1275, a 13 MB coordinate matrix
         assert lyapunov(np.eye(50)).dim == sym_dim(50)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), log_scale=st.floats(-3, 3))
+    def test_row_build_matches_column_loop(self, seed, n, log_scale):
+        a = np.random.default_rng(seed).standard_normal((n, n)) * 10.0 ** log_scale
+        assert np.array_equal(lyapunov(a).mat, column_loop(lambda x: a @ x + x @ a.T, n))
+        assert np.array_equal(stein(a).mat, column_loop(lambda x: x - a @ x @ a.T, n))
 
 
 class TestAlgebra:
@@ -267,6 +305,62 @@ class TestSolve:
         # the kernel is spanned by the identity: L(I) = A + A^T = 0 for skew A
         k = kernel[0]
         assert_allclose(k / k[0, 0], np.eye(2), atol=1e-9)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), kind=st.sampled_from(KINDS))
+    def test_well_conditioned_matches_dense_solve(self, seed, n, kind):
+        # mu_ij in [1, 4] (Lyapunov) or [0.36, 1.64] (Stein)
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.5, 2.0, n) if kind == "lyapunov" else rng.uniform(-0.8, 0.8, n)
+        op = make_operator(kind, diagonalizable(rng, lam))
+        q = random_symmetric(rng, n)
+        expected = np.linalg.solve(op.mat, svec(q))
+        assert np.linalg.norm(svec(solve(op, q)) - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), kind=st.sampled_from(KINDS))
+    def test_planted_pair_is_singular(self, seed, n, kind):
+        # (l, -l) makes l_i + l_j = 0; (l, 1/l) makes 1 - l_i l_j = 0
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-2.0, 2.0, n)
+        pivot = rng.uniform(0.3, 2.0)
+        lam[:2] = (pivot, -pivot) if kind == "lyapunov" else (pivot, 1.0 / pivot)
+        assert_singular(make_operator(kind, diagonalizable(rng, lam)), rng)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+    def test_skew_lyapunov_and_orthogonal_stein_are_singular(self, seed, n):
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal((n, n))
+        assert_singular(lyapunov(k - k.T), rng)
+        assert_singular(stein(random_orthogonal(rng, n)), rng)
+
+    @pytest.mark.parametrize("kind, upper", [("lyapunov", [1.0, 2.0, 3.0]),
+                                             ("stein", [1.0, 1.0, 1.0])])
+    def test_non_normal_rank_deficient_operator_is_solved(self, kind, upper):
+        # every eigenvalue is 0.5, so no mu is near 0, yet the x30 off-diagonal
+        # entries make the coordinate matrix numerically rank deficient
+        a = 0.5 * np.eye(3)
+        a[np.triu_indices(3, 1)] = 30.0 * np.array(upper)
+        op = make_operator(kind, a)
+        assert numerical_rank(op.mat) < op.dim
+        q = np.eye(3)
+        x = solve(op, q)
+        assert np.linalg.norm(apply(op, x) - q) <= DEFAULT_TOL.feas_tol * np.linalg.norm(q)
+        assert np.linalg.eigvalsh(x)[0] > 0.0
+
+    def test_unverifiable_solution_is_not_called_singular(self):
+        # nonsingular, but so ill-conditioned that the computed X fails the
+        # re-checks (here: not positive definite, though A is stable and Q > 0)
+        a = 0.5 * np.eye(4)
+        a[np.triu_indices(4, 1)] = 30.0
+        with pytest.raises(InconsistencyError):
+            solve(lyapunov(a), np.eye(4))
+
+    def test_general_operator_rejected(self):
+        for op in (operator_from_matrix(np.eye(3), 2), compose(lyapunov(J), stein(J))):
+            with pytest.raises(ValueError):
+                solve(op, np.eye(2))
 
 
 class TestOrthogonalCovariance:
