@@ -20,7 +20,8 @@ fixed ``--seed`` the output is byte-identical across runs.
 
 Exit codes: 0 success (including honest "undecided"), 2 parse error,
 3 capability error, 4 singular operator in ``solve``, 5 reproduction
-mismatch.
+mismatch, 6 inconsistency (two computations that must agree did not, for
+example a solution failing its re-checks).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 EXIT_SINGULAR = 4
 EXIT_MISMATCH = 5
+EXIT_INCONSISTENT = 6
 
 
 class ParseError(ValueError):
@@ -186,7 +188,7 @@ def cmd_classify(args) -> int:
             "trivially_range_monotone": sim.trivially_range_monotone,
             "all_true": sim.all_true,
         }
-    elif report.is_z and a.shape[0] <= 12:
+    elif report.is_z:
         audit = matclass.check_m_equivalences(a, tol)
         result["equivalence_audit"] = {
             "items": audit.items,
@@ -548,7 +550,10 @@ def main(argv=None) -> int:
     except catalog.ReproductionError as exc:
         print(f"reproduction mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ValueError, InconsistencyError) as exc:
+    except InconsistencyError as exc:
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -33,20 +33,26 @@ from .numkernel import (
 
 
 def index_of(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Smallest ``k >= 0`` with ``rank(M^(k+1)) == rank(M^k)``, capped at the order."""
+    """Smallest ``k >= 0`` with ``rank(M^(k+1)) == rank(M^k)``, capped at the order.
+
+    The rank of ``M^k`` is judged against ``rank_tol * ||M||^k``, the scale
+    of the rounding noise in the computed power (the Frobenius norm is
+    submultiplicative), so a power that is pure noise has rank 0.  Powers of
+    ``M / ||M||`` keep that scale at 1 without overflow.
+    """
     m = as_square(m)
     n = m.shape[0]
+    norm = np.linalg.norm(m)
+    unit = m / norm if norm > 0 else m
     power = np.eye(n)
     prev_rank = n
     for k in range(n + 1):
-        nxt = power @ m
-        scale = np.linalg.norm(nxt)
-        if scale > 0:
-            nxt = nxt / scale
-        rank = numerical_rank(nxt, tol)
+        power = power @ unit
+        pivots = np.abs(np.diag(qr_column_pivoted(power, tol)[1]))
+        rank = int(np.count_nonzero(pivots > tol.rank_tol))
         if rank == prev_rank:
             return k
-        power, prev_rank = nxt, rank
+        prev_rank = rank
     return n
 
 

@@ -213,15 +213,14 @@ def _verify_range_refutation(op: OperatorMatrix, x_coords, basis, tol: Tolerance
 
 def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
                           budget: ConeBudget = conefeas.DEFAULT_BUDGET,
-                          starts: int = 64,
                           trivial: MonotonicityVerdict | None = None) -> MonotonicityVerdict:
     """Does ``T(X) PSD, X in range(T)`` force ``X PSD``?
 
     Yes when triviality holds or the operator is idempotent.  A No
-    requires a verified witness; the search probes the index defect and
+    requires a verified witness; the search probes both signs of the
+    triviality witness (the index defect, when there is one) and
     group-inverse preimages of sampled points of ``range(T)`` cap the PSD
-    cone from ``starts`` deterministic seeds.  Anything else is honest
-    ``UNDECIDED``.
+    cone from deterministic seeds.  Anything else is honest ``UNDECIDED``.
     """
     if trivial is None:
         trivial = decide_trivial_operator(op, tol, budget)
@@ -246,16 +245,13 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
     def refuted(witness):
         return MonotonicityVerdict(Verdict.NO, Verdict.NO, witness=witness)
 
-    # the triviality witness may already be indefinite
+    # the triviality witness may already be indefinite.  An index-defect
+    # witness X has T(X) = 0, so -X is a candidate too; a PSD-path witness
+    # has T(X) a nonzero PSD multiple, so -X always fails the check.
     if trivial.witness is not None:
-        found = _verify_range_refutation(op, svec(trivial.witness), basis, tol)
-        if found is not None:
-            return refuted(found)
-
-    defect = _index_defect_image(op.mat, tol)
-    if defect is not None:
+        x_coords = svec(trivial.witness)
         for sign in (1.0, -1.0):
-            found = _verify_range_refutation(op, sign * defect, basis, tol)
+            found = _verify_range_refutation(op, sign * x_coords, basis, tol)
             if found is not None:
                 return refuted(found)
 
@@ -263,7 +259,7 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
     if gi.exists:
         samples = conefeas.collect_psd_witness_samples(
             conefeas.subspace_from_coordinates(basis, op.n, tol),
-            tol, starts=starts, iters=800, seed=budget.seed)
+            tol, starts=64, iters=800, seed=budget.seed)
         for v in samples:
             x_coords = gi.inverse @ svec(v)
             found = _verify_range_refutation(op, x_coords, basis, tol)
@@ -275,11 +271,10 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
 
 
 def analyze_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
-                     budget: ConeBudget = conefeas.DEFAULT_BUDGET,
-                     starts: int = 64) -> MonotonicityVerdict:
+                     budget: ConeBudget = conefeas.DEFAULT_BUDGET) -> MonotonicityVerdict:
     """Combined trivial + range verdict for one operator."""
     trivial = decide_trivial_operator(op, tol, budget)
-    return decide_range_operator(op, tol, budget, starts, trivial=trivial)
+    return decide_range_operator(op, tol, budget, trivial=trivial)
 
 
 @dataclass(frozen=True)
@@ -343,8 +338,7 @@ def randomized_trivial_refuter(op: OperatorMatrix, samples: int = 100_000,
         return None
     rng = np.random.default_rng(seed)
     n = op.n
-    iu = np.triu_indices(n)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    full, _, scale, _ = conefeas._svec_layout(n)
     batch = 2048
     done = 0
     while done < samples:
@@ -354,10 +348,7 @@ def randomized_trivial_refuter(op: OperatorMatrix, samples: int = 100_000,
         coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
         xs = coeff @ basis.T          # unit-norm svec coordinates in range(T)
         txs = xs @ op.mat.T           # svec coordinates of T(X)
-        mats = np.zeros((count, n, n))
-        mats[:, iu[0], iu[1]] = txs / scale
-        mats = mats + np.transpose(mats, (0, 2, 1))
-        mats[:, np.arange(n), np.arange(n)] *= 0.5
+        mats = (txs / scale)[:, full].reshape(-1, n, n)
         mins = np.linalg.eigvalsh(mats)[:, 0]
         hits = np.flatnonzero(mins >= -tol.feas_tol)
         if hits.size:

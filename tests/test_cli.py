@@ -109,6 +109,16 @@ class TestSolve:
         assert np.allclose(doc["result"]["x"], np.eye(2))
         assert doc["result"]["solution_class"] == "positive_definite"
 
+    def test_inconsistency_exit_code(self, tmp_path, capsys):
+        # nonsingular and positive stable, but too ill-conditioned for the
+        # computed X to pass the positive-definiteness re-check
+        rows = (0.5 * np.eye(4) + 30.0 * np.triu(np.ones((4, 4)), 1)).tolist()
+        a = write_matrix_json(tmp_path / "a.json", rows)
+        q = write_matrix_json(tmp_path / "q.json", np.eye(4).tolist())
+        code, _, err = run(capsys, "solve", "lyapunov", a, q)
+        assert code == cli.EXIT_INCONSISTENT == 6
+        assert "positive definite solution" in err
+
     def test_singular_exit_code(self, tmp_path, capsys):
         a = write_matrix_json(tmp_path / "a.json", [[0, 1], [-1, 0]])
         q = write_matrix_json(tmp_path / "q.json", [[1, 0], [0, 1]])
@@ -162,6 +172,14 @@ class TestFeas:
         code, out, _ = run(capsys, "classify", path, "--json")
         assert code == 0
         assert json.loads(out)["result"]["sim"]["all_true"]
+
+    def test_classify_order_sixteen_audit(self, tmp_path, capsys):
+        rows = (1.25 * np.eye(16) - np.full((16, 16), 1 / 16)).tolist()
+        path = write_matrix_json(tmp_path / "big.json", rows)
+        code, out, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        audit = json.loads(out)["result"]["equivalence_audit"]
+        assert audit["consistent"] and all(audit["items"].values())
 
 
 class TestReproduce:

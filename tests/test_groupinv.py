@@ -53,6 +53,17 @@ class TestIndex:
         # A^2 = 2A, so the rank sequence stabilizes immediately
         assert groupinv.index_of(RANK_ONE) == 1
 
+    def test_similar_to_single_nilpotent_entry(self):
+        # M = V E12 V^-1 has M^2 = 0 up to rounding; judged against its own
+        # norm that rounding noise would count as rank and inflate the index
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(3, 6))
+            v = rng.standard_normal((n, n))
+            e12 = np.zeros((n, n))
+            e12[0, 1] = 1.0
+            assert groupinv.index_of(v @ e12 @ np.linalg.inv(v)) == 2
+
 
 class TestGroupInverse:
     def test_idempotent_is_its_own(self):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from lyapstein import matclass
+from lyapstein import conefeas, matclass
 from lyapstein.matclass import MClass
-from lyapstein.numkernel import CapabilityError, general_eigenvalues
+from lyapstein.numkernel import InconsistencyError, general_eigenvalues
 
 from conftest import random_permutation_matrix
 
@@ -190,6 +190,25 @@ class TestVerifySim:
         assert len(calls) == n + 1
         assert sorted(calls) == [n - 1] * n + [n]
 
+    def test_one_orthant_decision(self, rng, monkeypatch):
+        # range(A^2) = range(A) at index one, so range(A)'s certificate
+        # settles both almost and trivial range monotonicity
+        a = np.eye(8) - random_column_stochastic(rng, 8).T
+        calls = []
+        orthant = conefeas.orthant_intersection
+
+        def counting(spec, tol=matclass.DEFAULT_TOL):
+            calls.append(spec.basis.shape[1])
+            return orthant(spec, tol)
+
+        monkeypatch.setattr(conefeas, "orthant_intersection", counting)
+        sim = matclass.verify_sim(a)
+        assert sim.almost_monotone and sim.trivially_range_monotone
+        assert calls == [7]
+        certificate = sim.witnesses["trivial_range_monotone_certificate"]
+        assert certificate is sim.witnesses["almost_monotone_certificate"]
+        assert np.all(certificate > 0)
+
 
 def _all_proper_principal_submatrices_invertible_m(a):
     """Reference: classify every one of the 2^n - 2 proper principal submatrices."""
@@ -241,6 +260,14 @@ class TestProperPrincipalSubmatrices:
         assert not _all_proper_principal_submatrices_invertible_m(a)
 
 
+def _all_principal_minors_positive(a):
+    """Reference: the sign of every one of the 2^n - 1 principal minors."""
+    n = a.shape[0]
+    return all(np.linalg.slogdet(a[np.ix_(idx, idx)])[0] > 0
+               for size in range(1, n + 1)
+               for idx in map(list, itertools.combinations(range(n), size)))
+
+
 class TestSemiconvergent:
     def test_idempotent(self):
         assert matclass.is_semiconvergent(np.diag([1.0, 0.0]))
@@ -287,9 +314,56 @@ class TestEquivalences:
         with pytest.raises(ValueError):
             matclass.check_m_equivalences(SWAP)
 
-    def test_order_cap(self):
-        with pytest.raises(CapabilityError):
-            matclass.check_m_equivalences(np.eye(13))
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_orders_beyond_twelve(self, n):
+        # no order cap: the leading-minor test is n slogdets at any order
+        b = np.full((n, n), 1.0 / n)
+        invertible = matclass.check_m_equivalences(1.25 * np.eye(n) - b)
+        assert invertible.consistent and all(invertible.items.values())
+        assert invertible.inverse_positive is True
+        z_not_m = matclass.check_m_equivalences(0.75 * np.eye(n) - b)
+        assert z_not_m.consistent and not any(z_not_m.items.values())
+
+    def test_leading_minors_only(self, rng, monkeypatch):
+        # an order-12 audit takes at most 12 slogdets, not 2^12 - 1 = 4095
+        n = 12
+        a = 1.2 * np.eye(n) - random_column_stochastic(rng, n)
+        calls = []
+        slogdet = np.linalg.slogdet
+
+        def counting(m):
+            calls.append(m.shape)
+            return slogdet(m)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counting)
+        assert matclass.check_m_equivalences(a).items["p_matrix"]
+        assert calls == [(k, k) for k in range(1, n + 1)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           density=st.sampled_from([1.0, 0.6, 0.3]),
+           reducible=st.booleans(),
+           offset=st.sampled_from([0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.3, -0.3]))
+    def test_p_matrix_matches_all_principal_minors(self, seed, n, density, reducible, offset):
+        # shift rho(B) + offset (1 + rho(B)), inside the singular band or
+        # outside it; a cycle keeps B irreducible unless a zero block is cut
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+        np.fill_diagonal(b, 0.0)
+        cycle = np.arange(n)
+        b[cycle, (cycle + 1) % n] = rng.uniform(0.1, 1.0, n)
+        if reducible and n > 1:
+            k = int(rng.integers(1, n))
+            b[k:, :k] = 0.0
+        rho = general_eigenvalues(b).spectral_radius
+        a = (rho + offset * (1.0 + rho)) * np.eye(n) - b
+        expected = _all_principal_minors_positive(a)
+        try:
+            assert matclass.check_m_equivalences(a).items["p_matrix"] == expected
+        except InconsistencyError as exc:
+            # another item dissented; p_matrix must have voted with the majority
+            assert "p_matrix" not in exc.details
+            assert set(exc.details.values()) == {not expected}
 
     def test_no_disagreements_on_margin_bounded_random(self, rng):
         # 200 random Z-matrices with |s - rho(B)| bounded away from zero

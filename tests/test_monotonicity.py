@@ -115,6 +115,24 @@ class TestOperatorRangeVerdicts:
         assert v.range_monotone is Verdict.NO
         assert_allclose(v.witness, np.diag([0.0, -1.0]), atol=1e-7)
 
+    @pytest.mark.parametrize("op, refuted", [
+        (lyapunov(np.array([[1.0, 1.0], [0.0, 0.0]])), False),  # index defect, not refuted
+        (stein(np.array([[1.0, 1.0], [0.0, 1.0]])), True),  # index defect, refuted
+        (stein(np.diag([1.0, 2.0])), True),  # PSD-path witness
+    ])
+    def test_index_defect_computed_once(self, op, refuted, monkeypatch):
+        calls = []
+        defect = monotonicity._index_defect_image
+
+        def counting(m, tol):
+            calls.append(m.shape)
+            return defect(m, tol)
+
+        monkeypatch.setattr(monotonicity, "_index_defect_image", counting)
+        v = analyze_operator(op)
+        assert calls == [op.mat.shape]
+        assert (v.range_monotone is Verdict.NO) == refuted
+
     def test_refutation_witness_relations(self):
         op = lyapunov(SWAP)
         v = analyze_operator(op)
