@@ -322,7 +322,7 @@ def cmd_solve(args) -> int:
     preflight = {"positive_stable": spectrum.is_positive_stable(margin),
                  "schur_stable": spectrum.is_schur_stable(margin)}
     try:
-        x = operators.solve(op, q, tol)
+        x, residual = operators._solve(op, q, spectrum, tol)
     except SingularOperatorError as exc:
         out = {"command": "solve", "kind": args.kind, "error": "singular_operator",
                "stability_preflight": preflight,
@@ -335,7 +335,6 @@ def cmd_solve(args) -> int:
                 print()
         _emit(out, args.json, human_err)
         return EXIT_SINGULAR
-    residual = float(np.linalg.norm(operators.apply(op, x) - q))
     from .symspace import psd_classify
     out = {"command": "solve", "kind": args.kind,
            "tolerances": dataclasses.asdict(tol),

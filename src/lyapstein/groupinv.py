@@ -64,29 +64,44 @@ class GroupInverseResult:
     residuals: tuple[float, float, float] | None  # ||MXM-M||, ||XMX-X||, ||MX-XM||
 
 
-def group_inverse(m, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
-    """Group inverse via rank factorization; non-existence is a result, not an error.
+def _rank_factor(m: np.ndarray, tol: Tolerances):
+    """Existence of the group inverse of square ``M``, with the factors that decide it.
 
-    One column-pivoted QR gives both the rank factorization and the rank
-    decision.  ``F @ C`` counts as singular when its least singular value is
-    within ``rank_tol`` of the largest pivot ``|R_00|``, the scale of that
-    decision (relative to ``F @ C``'s own largest one, rounding noise would
-    pass for a nilpotent rank-one ``M``).  When the inverse exists the index
-    is 0 (full rank) or 1; otherwise, and for ``M = 0``, it comes from
-    :func:`index_of`.
+    One column-pivoted QR gives both the rank factorization ``M = C @ F``
+    and the rank decision.  ``F @ C`` counts as singular when its least
+    singular value is within ``rank_tol`` of the largest pivot ``|R_00|``,
+    the scale of that decision (relative to ``F @ C``'s own largest one,
+    rounding noise would pass for a nilpotent rank-one ``M``).  Returns
+    ``(exists, c, f, fc)``; the factors are ``None`` for a numerically zero
+    ``M``, which is its own group inverse.
     """
-    m = as_square(m)
-    n = m.shape[0]
     q, r, _, rank = qr_column_pivoted(m, tol)
     if rank == 0:
-        # zero matrix: its own group inverse
-        z = np.zeros_like(m)
-        return GroupInverseResult(True, 0 if n == 0 else index_of(m, tol), z, (0.0, 0.0, 0.0))
+        return True, None, None, None
     c = q[:, :rank]
     f = c.T @ m
     fc = f @ c
-    if np.linalg.svd(fc, compute_uv=False)[-1] <= tol.rank_tol * abs(r[0, 0]):
+    exists = np.linalg.svd(fc, compute_uv=False)[-1] > tol.rank_tol * abs(r[0, 0])
+    return bool(exists), c, f, fc
+
+
+def group_inverse(m, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
+    """Group inverse via rank factorization; non-existence is a result, not an error.
+
+    Existence is decided by :func:`_rank_factor`.  When the inverse exists
+    the index is 0 (full rank) or 1; otherwise, and for ``M = 0``, it comes
+    from :func:`index_of`.
+    """
+    m = as_square(m)
+    n = m.shape[0]
+    exists, c, f, fc = _rank_factor(m, tol)
+    if c is None:
+        # zero matrix: its own group inverse
+        z = np.zeros_like(m)
+        return GroupInverseResult(True, 0 if n == 0 else index_of(m, tol), z, (0.0, 0.0, 0.0))
+    if not exists:
         return GroupInverseResult(False, index_of(m, tol), None, None)
+    rank = c.shape[1]
     x = c @ np.linalg.solve(fc, np.linalg.solve(fc, f))
     mx = m @ x
     xm = x @ m
@@ -115,12 +130,13 @@ class ExistenceAudit:
 def group_inverse_exists_audit(m, tol: Tolerances = DEFAULT_TOL) -> ExistenceAudit:
     """Check the four existence characterizations and demand unanimity.
 
-    The range and null bases come from one SVD.  Disagreement raises
-    :class:`InconsistencyError` carrying the dissenting items.
+    The range and null bases come from one SVD; the axioms' solvability is
+    :func:`group_inverse`'s existence decision, without forming the inverse.
+    Disagreement raises :class:`InconsistencyError` carrying the dissenting items.
     """
     m = as_square(m)
     n = m.shape[0]
-    axioms = group_inverse(m, tol).exists
+    axioms = _rank_factor(m, tol)[0]
     u, _, vh, rank_m = _svd_split(m, tol)
     stacked = np.hstack([u[:, :rank_m], vh[rank_m:].T])
     nullity = vh.shape[0] - rank_m

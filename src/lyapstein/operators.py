@@ -1,4 +1,4 @@
-"""Lyapunov and Stein operators on the symmetric space, materialized.
+"""Lyapunov and Stein operators on the symmetric space.
 
 For a square matrix ``A`` of order ``n`` the two operators act on
 symmetric ``X``:
@@ -6,11 +6,12 @@ symmetric ``X``:
 * Lyapunov:  ``X -> A X + X A^T``
 * Stein:     ``X -> X - A X A^T``
 
-Each is materialized as a dense ``d x d`` matrix in svec coordinates
+An operator stores ``A``; its dense ``d x d`` matrix in svec coordinates
 (``d = n(n+1)/2``), column ``j`` being the image of the ``j``-th
-coordinate basis element.  Because svec is an isometry, the operator
-adjoint is the plain transpose of this matrix, and both operators of
-``A^T`` coincide with the adjoints of those of ``A``.
+coordinate basis element, is built on first read of ``.mat`` and kept.
+Because svec is an isometry, the operator adjoint is the plain transpose
+of this matrix, and both operators of ``A^T`` coincide with the adjoints
+of those of ``A``.
 
 The module also detects structure: idempotency (operationally and via
 the closed-form matrix criteria), generalized k-potency (``T^k`` equal to
@@ -28,18 +29,21 @@ below ``rank_tol`` times the largest.  That rule is one-sided against the
 numerical rank of the coordinate matrix: a singular verdict always has
 a rank-deficient matrix, but a strongly non-normal ``A`` can give a
 numerically rank-deficient matrix that is still solved.  The residual
-is re-checked through the coordinate matrix, and definiteness under the
-stability hypotheses that guarantee it.
+is re-checked by applying the operator's action to the n-by-n solution,
+and definiteness under the stability hypotheses that guarantee it; only
+a singular operator builds the coordinate matrix, for its kernel basis.
 
-Materialization is refused with :class:`CapabilityError` when the
-``d x d`` matrix would exceed ``MAX_DENSE_OPERATOR_BYTES`` (256 MiB,
-orders above 107).  It applies the operator to the basis elements of one
-upper-triangle row at a time, ``n`` stacked applications.
+An operator whose ``d x d`` matrix would exceed ``MAX_DENSE_OPERATOR_BYTES``
+(256 MiB, orders above 107) is refused with :class:`CapabilityError` at
+construction, before anything is allocated.  The matrix is built by
+applying the operator to the basis elements of one upper-triangle row at
+a time, ``n`` stacked applications.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,22 +86,56 @@ class SingularOperatorError(RuntimeError):
 class OperatorMatrix:
     """A linear operator on symmetric matrices of order ``n``.
 
-    ``mat`` is the d-by-d coordinate matrix; ``base`` is the generating
-    matrix when the operator was built as a Lyapunov or Stein operator.
+    ``base`` is the generating matrix when the operator was built as a
+    Lyapunov or Stein operator.  ``mat``, the d-by-d coordinate matrix, is
+    built from ``base`` on first read and cached; an explicit matrix (a
+    general operator, a composition, a power, an adjoint) is stored as given.
     """
 
-    mat: np.ndarray
     n: int
     kind: OperatorKind = OperatorKind.GENERAL
     base: np.ndarray | None = None
 
+    @functools.cached_property
+    def mat(self) -> np.ndarray:
+        return _materialize(functools.partial(_ACTIONS[self.kind], self.base), self.n)
+
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return sym_dim(self.n)
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.mat))
+
+
+def _explicit(mat: np.ndarray, n: int, kind: OperatorKind = OperatorKind.GENERAL,
+              base: np.ndarray | None = None) -> OperatorMatrix:
+    """An operator whose coordinate matrix is given: ``mat`` seeds the cache."""
+    op = OperatorMatrix(n, kind, base)
+    op.__dict__["mat"] = mat
+    return op
+
+
+# The two actions on (stacks of) symmetric X: one table feeds both the
+# coordinate matrix and the residual that solve checks.
+_ACTIONS = {
+    OperatorKind.LYAPUNOV: lambda a, x: a @ x + x @ a.T,
+    OperatorKind.STEIN: lambda a, x: x - a @ x @ a.T,
+}
+
+
+def _residual(op: OperatorMatrix, x: np.ndarray, q: np.ndarray) -> float:
+    """``||T(X) - Q||`` of a tagged operator, through its action on n-by-n matrices."""
+    return float(np.linalg.norm(_ACTIONS[op.kind](op.base, x) - q))
+
+
+def _check_dense_size(n: int) -> None:
+    d = sym_dim(n)
+    if d * d * 8 > MAX_DENSE_OPERATOR_BYTES:
+        raise CapabilityError(
+            f"dense operator of order {n} needs a {d} x {d} float64 matrix "
+            f"({d * d * 8} bytes), over the {MAX_DENSE_OPERATOR_BYTES}-byte limit")
 
 
 def _materialize(action, n: int) -> np.ndarray:
@@ -110,10 +148,6 @@ def _materialize(action, n: int) -> np.ndarray:
     applying it to each basis element alone.
     """
     d = sym_dim(n)
-    if d * d * 8 > MAX_DENSE_OPERATOR_BYTES:
-        raise CapabilityError(
-            f"dense operator of order {n} needs a {d} x {d} float64 matrix "
-            f"({d * d * 8} bytes), over the {MAX_DENSE_OPERATOR_BYTES}-byte limit")
     (rows, cols), scale = _triu_indices(n)
     mat = np.empty((d, d))
     start = 0
@@ -127,18 +161,20 @@ def _materialize(action, n: int) -> np.ndarray:
     return mat
 
 
+def _tagged(kind: OperatorKind, a) -> OperatorMatrix:
+    a = as_square(a)
+    _check_dense_size(a.shape[0])
+    return OperatorMatrix(a.shape[0], kind, a)
+
+
 def lyapunov(a) -> OperatorMatrix:
     """The operator ``X -> A X + X A^T`` in svec coordinates."""
-    a = as_square(a)
-    return OperatorMatrix(_materialize(lambda x: a @ x + x @ a.T, a.shape[0]),
-                          a.shape[0], OperatorKind.LYAPUNOV, a)
+    return _tagged(OperatorKind.LYAPUNOV, a)
 
 
 def stein(a) -> OperatorMatrix:
     """The operator ``X -> X - A X A^T`` in svec coordinates."""
-    a = as_square(a)
-    return OperatorMatrix(_materialize(lambda x: x - a @ x @ a.T, a.shape[0]),
-                          a.shape[0], OperatorKind.STEIN, a)
+    return _tagged(OperatorKind.STEIN, a)
 
 
 def make_operator(kind, a) -> OperatorMatrix:
@@ -155,7 +191,7 @@ def operator_from_matrix(mat, n: int) -> OperatorMatrix:
     mat = as_square(mat)
     if mat.shape[0] != sym_dim(n):
         raise ValueError(f"coordinate matrix must have order n(n+1)/2 for n={n}")
-    return OperatorMatrix(mat, n)
+    return _explicit(mat, n)
 
 
 def apply(op: OperatorMatrix, x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -170,7 +206,7 @@ def compose(op1: OperatorMatrix, op2: OperatorMatrix) -> OperatorMatrix:
     """Composition ``op1 after op2``."""
     if op1.n != op2.n:
         raise ValueError("operator orders differ")
-    return OperatorMatrix(op1.mat @ op2.mat, op1.n)
+    return _explicit(op1.mat @ op2.mat, op1.n)
 
 
 def op_power(op: OperatorMatrix, k: int) -> OperatorMatrix:
@@ -178,7 +214,7 @@ def op_power(op: OperatorMatrix, k: int) -> OperatorMatrix:
         raise ValueError("power must be >= 1")
     if k == 1:
         return op
-    return OperatorMatrix(np.linalg.matrix_power(op.mat, k), op.n)
+    return _explicit(np.linalg.matrix_power(op.mat, k), op.n)
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
@@ -188,7 +224,7 @@ def adjoint(op: OperatorMatrix) -> OperatorMatrix:
     matrix, so the tag is preserved.
     """
     base = op.base.T if op.base is not None else None
-    return OperatorMatrix(op.mat.T.copy(), op.n, op.kind, base)
+    return _explicit(op.mat.T.copy(), op.n, op.kind, base)
 
 
 def is_idempotent(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -307,18 +343,23 @@ def solve(op: OperatorMatrix, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     :func:`scipy.linalg.solve_discrete_lyapunov`, which from order 10 up
     maps it to a Lyapunov equation by the bilinear transform and below that
     solves the ``n^2``-dimensional Kronecker system.  The result is
-    symmetrized and its residual re-checked through the coordinate matrix.
+    symmetrized and its residual ``||T(X) - Q||`` re-checked by applying the
+    operator's action to ``X`` (n-by-n products, no coordinate matrix).
     When the operator is a Lyapunov operator of a positive stable matrix
     (or a Stein operator of a Schur stable one) and ``Q`` is positive
     definite, the solution is checked to be positive definite as the
     theory guarantees.  Operators without a base matrix raise ``ValueError``.
     """
-    q = require_symmetric(q, tol)
     if op.kind is OperatorKind.GENERAL or op.base is None:
         raise ValueError("solve handles Lyapunov or Stein operators only")
+    return _solve(op, q, general_eigenvalues(op.base, tol), tol)[0]
+
+
+def _solve(op: OperatorMatrix, q, spectrum, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """:func:`solve` of a tagged operator given ``A``'s spectrum; returns ``(X, ||T(X) - Q||)``."""
+    q = require_symmetric(q, tol)
     if q.shape[0] != op.n:
         raise ValueError("right-hand side order mismatch")
-    spectrum = general_eigenvalues(op.base, tol)
     lam = spectrum.values
     (i, j), _ = _triu_indices(op.n)
     mu = np.abs(lam[i] + lam[j] if op.kind is OperatorKind.LYAPUNOV else 1.0 - lam[i] * lam[j])
@@ -330,10 +371,10 @@ def solve(op: OperatorMatrix, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     else:
         x = scipy.linalg.solve_discrete_lyapunov(op.base, q)
     x = 0.5 * (x + x.T)
-    residual = np.linalg.norm(apply(op, x) - q)
+    residual = _residual(op, x, q)
     if residual > tol.feas_tol * max(1.0, np.linalg.norm(q)):
         raise InconsistencyError("solve residual exceeds tolerance",
-                                 {"residual": float(residual)})
+                                 {"residual": residual})
     if psd_classify(q, tol).classification is PsdClass.POSITIVE_DEFINITE:
         margin = tol.rank_tol * (1.0 + spectrum.spectral_radius)
         guaranteed = (
@@ -344,7 +385,7 @@ def solve(op: OperatorMatrix, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             raise InconsistencyError(
                 "stability guarantees a positive definite solution, got something else",
                 {"min_eigenvalue": psd_classify(x, tol).min_eigenvalue})
-    return x
+    return x, residual
 
 
 def orthogonal_covariance_check(a, p, x, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import groupinv, operators
-from lyapstein.numkernel import DEFAULT_TOL, null_basis, numerical_rank, range_basis
+from lyapstein.numkernel import (
+    DEFAULT_TOL,
+    InconsistencyError,
+    null_basis,
+    numerical_rank,
+    range_basis,
+)
 
 from conftest import orthant_slice_extreme_rays, random_symmetric, well_conditioned
 
@@ -176,6 +182,25 @@ class TestExistenceAudit:
     def test_symmetric_random_all_true(self, rng):
         audit = groupinv.group_inverse_exists_audit(random_symmetric(rng, 5))
         assert audit.exists and audit.axioms_solvable
+
+
+    def test_axioms_flag_is_group_inverse_existence(self):
+        # 2000 matrices of index 0-8: the audit decides existence as group_inverse does
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            m = matrix_of_index(rng, int(rng.integers(0, 9)), int(rng.integers(0, 5)))
+            try:
+                axioms = groupinv.group_inverse_exists_audit(m).axioms_solvable
+            except InconsistencyError as exc:
+                axioms = exc.details["axioms_solvable"]
+            assert axioms == groupinv.group_inverse(m).exists
+
+    def test_audit_does_not_form_the_inverse(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groupinv, "group_inverse", lambda *args: calls.append(args))
+        for m in (NILPOTENT, RANK_ONE, np.zeros((3, 3)), matrix_of_index(rng, 3, 2)):
+            groupinv.group_inverse_exists_audit(m)
+        assert calls == []
 
 
 class TestNormality:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from lyapstein import operators
+from lyapstein import cli, operators
 from lyapstein.numkernel import DEFAULT_TOL, CapabilityError, InconsistencyError, numerical_rank
 from lyapstein.operators import (
     SingularOperatorError,
@@ -43,6 +44,44 @@ def column_loop(action, n):
         e[j] = 1.0
         mat[:, j] = svec(action(smat(e)))
     return mat
+
+
+def ill_conditioned_draws(count):
+    """Seeded draws of orders 2-6, alternating kinds: ``diag(U(0.2, 1))`` (x0.9
+    for Stein) plus ``30 N(0, 1)`` strictly above the diagonal.  Most of these
+    operators have cond(T) far beyond 1e10."""
+    for s in range(count):
+        rng = np.random.default_rng([7, s])
+        n = int(rng.integers(2, 7))
+        kind = KINDS[s % 2]
+        a = np.diag(rng.uniform(0.2, 1.0, n) * (0.9 if kind == "stein" else 1.0))
+        yield kind, a + 30.0 * np.triu(rng.standard_normal((n, n)), 1)
+
+
+def desk_pair(rng, kind, n):
+    """A positive stable (Lyapunov) or Schur stable (Stein) A and a positive definite Q."""
+    m = rng.standard_normal((n, n)) / np.sqrt(n)
+    eig = np.linalg.eigvals(m)
+    if kind == "lyapunov":
+        a = m + (0.5 - eig.real.min()) * np.eye(n)
+    else:
+        a = m * (0.9 / np.abs(eig).max())
+    p = rng.standard_normal((n, n))
+    return a, p @ p.T / n + np.eye(n)
+
+
+@pytest.fixture
+def materialize_calls(monkeypatch):
+    """Count the coordinate-matrix builds."""
+    calls = []
+    build = operators._materialize
+
+    def counted(action, n):
+        calls.append(n)
+        return build(action, n)
+
+    monkeypatch.setattr(operators, "_materialize", counted)
+    return calls
 
 
 def diagonalizable(rng, eigenvalues):
@@ -384,3 +423,82 @@ class TestOrthogonalCovariance:
         with pytest.raises(ValueError):
             orthogonal_covariance_check(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
                                         np.eye(2))
+
+
+class TestLazyBuild:
+    """The coordinate matrix is built on first read of ``.mat``, once."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_desk_solve_never_builds(self, kind, rng, tmp_path, capsys, materialize_calls):
+        a, q = desk_pair(rng, kind, 50)
+        op = make_operator(kind, a)
+        assert op.dim == sym_dim(50)
+        solve(op, q)
+        paths = []
+        for name, m in (("a", a), ("q", q)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"n": 50, "rows": m.tolist()}))
+        assert cli.main(["solve", kind, str(paths[0]), str(paths[1]), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["solution_class"] \
+            == "positive_definite"
+        assert materialize_calls == []
+
+    def test_singular_solve_builds_once_for_the_kernel(self, materialize_calls):
+        with pytest.raises(SingularOperatorError):
+            solve(lyapunov(J), np.eye(2))
+        assert materialize_calls == [2]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_analyze_builds_once(self, kind, rng, tmp_path, capsys, materialize_calls):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"n": 3, "rows": rng.standard_normal((3, 3)).tolist()}))
+        assert cli.main(["operator", kind, str(path), "--analyze", "--json"]) == 0
+        capsys.readouterr()
+        assert materialize_calls == [3]
+
+    def test_cached(self, materialize_calls):
+        op = stein(J)
+        assert op.mat is op.mat and op.norm == np.linalg.norm(op.mat)
+        assert materialize_calls == [2]
+
+    def test_lazy_matches_eager_and_action_residual(self):
+        # 300 operators of orders 1-12 at scales 1e-3..1e3: the cached build is
+        # bit-identical to an eager one, and the residual through the action
+        # agrees with the one through the coordinate matrix to rounding in Q
+        rng = np.random.default_rng(5)
+        for draw in range(300):
+            n = int(rng.integers(1, 13))
+            kind = KINDS[draw % 2]
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            op = make_operator(kind, a)
+            eager = operators._materialize(
+                (lambda x: a @ x + x @ a.T) if kind == "lyapunov" else (lambda x: x - a @ x @ a.T),
+                n)
+            assert np.array_equal(op.mat, eager)
+            x = random_symmetric(rng, n)
+            q = apply(op, x) + random_symmetric(rng, n)  # as at a solution, Q ~ T(X)
+            assert abs(operators._residual(op, x, q) - np.linalg.norm(apply(op, x) - q)) \
+                <= 1e-12 * (1.0 + np.linalg.norm(q))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_ill_conditioned_verdicts_match_coordinate_residual(self, monkeypatch):
+        # solved / singular / refused, and the solution itself, as when the
+        # residual was taken through the coordinate matrix
+        def outcome(op, q):
+            try:
+                return solve(op, q)
+            except (SingularOperatorError, InconsistencyError) as exc:
+                return type(exc)
+
+        draws = [make_operator(kind, a) for kind, a in ill_conditioned_draws(300)]
+        action = [outcome(op, np.eye(op.n)) for op in draws]
+        monkeypatch.setattr(operators, "_residual",
+                            lambda op, x, q: float(np.linalg.norm(apply(op, x) - q)))
+        coordinate = [outcome(op, np.eye(op.n)) for op in draws]
+        assert sum(isinstance(v, np.ndarray) for v in action) > 0
+        assert sum(v is InconsistencyError for v in action) > 0
+        for got, want in zip(action, coordinate):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got is want
