@@ -57,7 +57,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class EntryReport:
-    entry_id: str
+    id: str  # the catalog entry's id
     operator: str
     passed: bool
     checks: tuple[CheckResult, ...]

@@ -18,10 +18,15 @@ text (first line the order, then the rows).  ``--json`` switches the
 report to machine-readable JSON with identical numeric content; with a
 fixed ``--seed`` the output is byte-identical across runs.
 
+Each report's ``result`` is the analysis module's result dataclass,
+serialized field by field (see ``docs/formats.md``); the human printers
+read the same plain data as ``--json``.
+
 Exit codes: 0 success (including honest "undecided"), 2 parse error,
 3 capability error, 4 singular operator in ``solve``, 5 reproduction
 mismatch, 6 inconsistency (two computations that must agree did not, for
-example a solution failing its re-checks).
+example a solution failing its re-checks), 7 non-convergence (an
+eigenvalue iteration or LP solve returned no usable answer).
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ import numpy as np
 
 from . import catalog, conefeas, groupinv, matclass, monotonicity, operators
 from .conefeas import ConeBudget, SubspaceSpec
-from .monotonicity import Verdict
-from .numkernel import CapabilityError, InconsistencyError, Tolerances
+from .numkernel import CapabilityError, InconsistencyError, NonConvergenceError, Tolerances
 from .operators import SingularOperatorError
 
 EXIT_OK = 0
@@ -46,6 +50,7 @@ EXIT_CAPABILITY = 3
 EXIT_SINGULAR = 4
 EXIT_MISMATCH = 5
 EXIT_INCONSISTENT = 6
+EXIT_NONCONVERGENCE = 7
 
 
 class ParseError(ValueError):
@@ -55,6 +60,12 @@ class ParseError(ValueError):
 def _fmt(x: float) -> str:
     s = f"{float(x):.12g}"
     return "0" if s in ("-0", "-0.0") else s
+
+
+def _fields(obj, drop: str | None = None, **extra) -> dict:
+    """A result dataclass's fields by name, less ``drop``, plus ``extra``."""
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name != drop}
+    return {**fields, **extra}
 
 
 def _jsonable(obj):
@@ -75,7 +86,7 @@ def _jsonable(obj):
     if isinstance(obj, np.generic):
         return _jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return _jsonable(_fields(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,15 +150,16 @@ def _print_matrix(m, indent="  "):
 
 
 def _emit(report: dict, as_json: bool, human) -> None:
+    """Serialize ``report`` once; print it as JSON or hand it to ``human``."""
+    report = _jsonable(report)
     if as_json:
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         human(report)
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(rank_tol=args.tol_rank, psd_tol=args.tol_psd,
-                      feas_tol=args.tol_feas, max_iter=args.max_iter)
+    return Tolerances(rank_tol=args.tol_rank, psd_tol=args.tol_psd, feas_tol=args.tol_feas)
 
 
 def _budget(args) -> ConeBudget:
@@ -160,43 +172,16 @@ def cmd_classify(args) -> int:
     tol = _tolerances(args)
     a = load_matrix(args.matrix)
     report = matclass.classify(a, tol)
-    result = {
-        "is_z": report.is_z,
-        "m_class": report.m_class.value,
-        "s": report.s,
-        "rho_b": report.rho_b,
-        "is_irreducible": report.is_irreducible,
-        "positive_stable": report.positive_stable,
-        "schur_stable": report.schur_stable,
-        "rank": report.rank,
-        "boundary": report.boundary,
-        "eigenvalues": [[v.real, v.imag] for v in report.spectrum.values],
-        "perron_vector": report.perron_vector,
-        "sim": None,
-        "equivalence_audit": None,
-    }
+    sim = audit = None
     if report.m_class is matclass.MClass.SINGULAR_M and report.is_irreducible:
         sim = matclass.verify_sim(a, tol)
-        result["sim"] = {
-            "rank_is_n_minus_1": sim.rank_is_n_minus_1,
-            "perron_positive": sim.perron_positive,
-            "group_inverse_exists": sim.group_inverse_exists,
-            "nonneg_on_range": sim.nonneg_on_range,
-            "proper_principal_submatrices_invertible_m":
-                sim.proper_principal_submatrices_invertible_m,
-            "almost_monotone": sim.almost_monotone,
-            "trivially_range_monotone": sim.trivially_range_monotone,
-            "all_true": sim.all_true,
-        }
+        sim = _fields(sim, "witnesses", all_true=sim.all_true)
     elif report.is_z:
         audit = matclass.check_m_equivalences(a, tol)
-        result["equivalence_audit"] = {
-            "items": audit.items,
-            "inverse_positive": audit.inverse_positive,
-            "consistent": audit.consistent,
-        }
-    out = {"command": "classify", "input": args.matrix,
-           "tolerances": dataclasses.asdict(tol), "result": result}
+    result = _fields(report, "spectrum",
+                     eigenvalues=[[v.real, v.imag] for v in report.spectrum.values],
+                     sim=sim, equivalence_audit=audit)
+    out = {"command": "classify", "input": args.matrix, "tolerances": tol, "result": result}
 
     def human(rep):
         r = rep["result"]
@@ -232,46 +217,29 @@ def cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------- operator
 
-def _verdict_payload(v: monotonicity.MonotonicityVerdict) -> dict:
-    return {
-        "trivially_range_monotone": v.trivially_range_monotone.value,
-        "range_monotone": v.range_monotone.value,
-        "fast_path": v.fast_path,
-        "witness": v.witness,
-        "certificate": v.certificate,
-    }
-
-
 def cmd_operator(args) -> int:
     tol = _tolerances(args)
     a = load_matrix(args.matrix)
     op = operators.make_operator(args.kind, a)
-    result = {"kind": args.kind, "n": op.n, "dim": op.dim,
-              "operator_norm": op.norm, "coordinate_matrix": op.mat}
-    if args.analyze:
+    result = {"kind": args.kind, "n": op.n, "dim": op.dim, "operator_norm": op.norm}
+    if not args.analyze:
+        result["coordinate_matrix"] = op.mat
+    else:
         idem_expected = (operators.l_idempotent_expected(a, tol)
                          if args.kind == "lyapunov"
                          else operators.s_idempotent_expected(a, tol))
-        potency = operators.detect_k_potency(op, tol=tol)
-        gi = groupinv.group_inverse(op.mat, tol)
-        audit = groupinv.group_inverse_exists_audit(op.mat, tol)
         z_ok, z_counter = operators.z_operator_spot_check(op, seed=args.seed, tol=tol)
-        verdict = monotonicity.analyze_operator(op, tol, _budget(args))
         result.update({
             "idempotent": {"operational": operators.is_idempotent(op, tol),
                            "closed_form": idem_expected},
-            "k_potency": {"found": potency.found, "k": potency.k,
-                          "alpha": potency.alpha, "residual": potency.residual},
-            "group_inverse": {"exists": gi.exists, "index": gi.index,
-                              "residuals": gi.residuals,
-                              "audit": dataclasses.asdict(audit)},
-            "z_operator_spot_check": {"ok": z_ok, "trials": 100,
-                                      "counterexample": z_counter},
-            "monotonicity": _verdict_payload(verdict),
+            "k_potency": operators.detect_k_potency(op, tol=tol),
+            "group_inverse": _fields(groupinv.group_inverse(op.mat, tol), "inverse",
+                                     audit=groupinv.group_inverse_exists_audit(op.mat, tol)),
+            "z_operator_spot_check": {"ok": z_ok, "trials": 100, "counterexample": z_counter},
+            "monotonicity": monotonicity.analyze_operator(op, tol, _budget(args)),
         })
-        del result["coordinate_matrix"]
     out = {"command": "operator", "input": args.matrix,
-           "tolerances": dataclasses.asdict(tol), "seed": args.seed, "result": result}
+           "tolerances": tol, "seed": args.seed, "result": result}
 
     def human(rep):
         r = rep["result"]
@@ -325,8 +293,7 @@ def cmd_solve(args) -> int:
         x, residual = operators._solve(op, q, spectrum, tol)
     except SingularOperatorError as exc:
         out = {"command": "solve", "kind": args.kind, "error": "singular_operator",
-               "stability_preflight": preflight,
-               "kernel": [k for k in exc.kernel]}
+               "stability_preflight": preflight, "kernel": exc.kernel}
         def human_err(rep):
             print("operator is singular; no unique solution")
             print("kernel basis:")
@@ -336,8 +303,7 @@ def cmd_solve(args) -> int:
         _emit(out, args.json, human_err)
         return EXIT_SINGULAR
     from .symspace import psd_classify
-    out = {"command": "solve", "kind": args.kind,
-           "tolerances": dataclasses.asdict(tol),
+    out = {"command": "solve", "kind": args.kind, "tolerances": tol,
            "stability_preflight": preflight,
            "result": {"x": x, "residual": residual,
                       "solution_class": psd_classify(x, tol).classification.value}}
@@ -359,11 +325,8 @@ def cmd_solve(args) -> int:
 def cmd_groupinv(args) -> int:
     tol = _tolerances(args)
     a = load_matrix(args.matrix)
-    gi = groupinv.group_inverse(a, tol)
-    out = {"command": "groupinv", "input": args.matrix,
-           "tolerances": dataclasses.asdict(tol),
-           "result": {"exists": gi.exists, "index": gi.index,
-                      "inverse": gi.inverse, "residuals": gi.residuals}}
+    out = {"command": "groupinv", "input": args.matrix, "tolerances": tol,
+           "result": groupinv.group_inverse(a, tol)}
 
     def human(rep):
         r = rep["result"]
@@ -392,10 +355,7 @@ def cmd_feas(args) -> int:
             raise ParseError("psd feasibility expects a symmetric-ambient basis file")
         decision = conefeas.psd_intersection(spec, tol, _budget(args))
     out = {"command": "feas", "cone": args.cone, "input": args.basis,
-           "tolerances": dataclasses.asdict(tol), "seed": args.seed,
-           "result": {"status": decision.status.value,
-                      "witness": decision.witness,
-                      "certificate": decision.certificate}}
+           "tolerances": tol, "seed": args.seed, "result": decision}
 
     def human(rep):
         r = rep["result"]
@@ -415,13 +375,6 @@ def cmd_feas(args) -> int:
 
 # ---------------------------------------------------------------- reproduce
 
-def _entry_payload(report: catalog.EntryReport) -> dict:
-    return {"id": report.entry_id, "operator": report.operator,
-            "passed": report.passed,
-            "checks": [{"kind": c.kind, "passed": c.passed, "detail": c.detail}
-                       for c in report.checks]}
-
-
 def cmd_reproduce(args) -> int:
     tol = _tolerances(args)
     budget = _budget(args)
@@ -431,12 +384,7 @@ def cmd_reproduce(args) -> int:
         except catalog.ReproductionError as exc:
             print(f"table reproduction failed: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
-        out = {"command": "reproduce", "mode": "table", "seed": args.seed,
-               "result": {"rows": [
-                   {"matrix_class": row["matrix_class"],
-                    "lyapunov": dataclasses.asdict(row["lyapunov"]),
-                    "stein": dataclasses.asdict(row["stein"])}
-                   for row in table.rows]}}
+        out = {"command": "reproduce", "mode": "table", "seed": args.seed, "result": table}
 
         def human(rep):
             print(f"{'matrix class':<28s} {'Lyapunov':<28s} {'Stein'}")
@@ -464,8 +412,7 @@ def cmd_reproduce(args) -> int:
             return EXIT_PARSE
     out = {"command": "reproduce", "mode": "all" if args.all else "entry",
            "seed": args.seed,
-           "result": {"entries": [_entry_payload(r) for r in reports],
-                      "all_passed": all(r.passed for r in reports)}}
+           "result": {"entries": reports, "all_passed": all(r.passed for r in reports)}}
 
     def human(rep):
         for entry in rep["result"]["entries"]:
@@ -492,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-9)
         p.add_argument("--tol-psd", dest="tol_psd", type=float, default=1e-9)
         p.add_argument("--tol-feas", dest="tol_feas", type=float, default=1e-7)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
 
     p = sub.add_parser("classify", help="M-matrix classification")
     p.add_argument("matrix")
@@ -552,6 +498,9 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except NonConvergenceError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

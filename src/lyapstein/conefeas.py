@@ -28,7 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, InconsistencyError, Tolerances, lp_solve
+from .numkernel import (
+    DEFAULT_TOL,
+    InconsistencyError,
+    Tolerances,
+    complement_basis,
+    lp_solve,
+    range_basis,
+)
 from .symspace import _triu_indices, smat, svec, sym_dim
 
 
@@ -61,49 +68,24 @@ class SubspaceSpec:
         return self.basis.shape[1]
 
 
-def _orthonormalize(columns: np.ndarray, tol: Tolerances) -> np.ndarray:
-    if columns.size == 0:
-        return columns.reshape(columns.shape[0], 0)
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((columns.shape[0], 0))
-    rank = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return u[:, :rank]
-
-
-def _complement_basis(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement, from a full SVD.
-
-    Safe for every edge (empty basis, full basis): the trailing left
-    singular vectors span the complement exactly, with no dependence on
-    the scale of a projector residue.
-    """
-    dim = basis.shape[0]
-    if basis.shape[1] == 0:
-        return np.eye(dim)
-    u, s, _ = np.linalg.svd(basis, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol.rank_tol * s[0])) if s[0] > 0 else 0
-    return u[:, rank:]
-
-
 def subspace_from_vectors(vectors, n: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceSpec:
     """Span of the given vectors in R^n (orthonormalized)."""
     cols = np.column_stack([np.asarray(v, dtype=float).ravel() for v in vectors]) \
         if len(vectors) else np.zeros((n, 0))
-    return SubspaceSpec("vec", n, _orthonormalize(cols, tol))
+    return SubspaceSpec("vec", n, range_basis(cols, tol))
 
 
 def subspace_from_matrices(matrices, n: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceSpec:
     """Span of the given symmetric matrices, in svec coordinates."""
     cols = np.column_stack([svec(m) for m in matrices]) if len(matrices) \
         else np.zeros((sym_dim(n), 0))
-    return SubspaceSpec("sym", n, _orthonormalize(cols, tol))
+    return SubspaceSpec("sym", n, range_basis(cols, tol))
 
 
 def subspace_from_coordinates(columns, n: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceSpec:
     """Subspace of the symmetric space spanned by svec-coordinate columns."""
     cols = np.asarray(columns, dtype=float).reshape(sym_dim(n), -1)
-    return SubspaceSpec("sym", n, _orthonormalize(cols, tol))
+    return SubspaceSpec("sym", n, range_basis(cols, tol))
 
 
 class ConeStatus(enum.Enum):
@@ -130,12 +112,16 @@ class ConeDecision:
 
 @dataclass(frozen=True)
 class ConeBudget:
-    """Search budget for the PSD pipeline (documented defaults)."""
+    """Seed of the PSD pipeline's random Dykstra starts."""
 
-    starts: int = 16
-    projection_iters: int = 5000
-    ascent_iters: int = 5000
     seed: int = 0
+
+
+# the PSD pipeline's search sizes: Dykstra starts, iterations per start,
+# and supergradient ascent steps
+_STARTS = 16
+_PROJECTION_ITERS = 5000
+_ASCENT_ITERS = 5000
 
 
 DEFAULT_BUDGET = ConeBudget()
@@ -166,7 +152,7 @@ def orthant_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL) -> C
             witness = y / np.sum(y)
 
     certificate = None
-    comp = _complement_basis(b, tol)
+    comp = complement_basis(b, tol)
     if comp.shape[1] > 0:
         res = lp_solve(np.zeros(comp.shape[1]), a_ub=-comp, b_ub=-np.ones(n),
                        bounds=[(None, None)] * comp.shape[1], tol=tol)
@@ -330,9 +316,9 @@ def psd_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,
     """Decide whether a subspace of symmetric matrices meets the PSD cone nontrivially.
 
     Pipeline: trace shortcut, a one-step certificate probe, then the
-    primal Dykstra witness search from ``budget.starts`` deterministic
-    seeds (lowest start index wins), then the full dual eigenvalue ascent
-    for a certificate, else ``UNDECIDED``.
+    primal Dykstra witness search from ``_STARTS`` starts seeded by
+    ``budget.seed`` (lowest start index wins), then the full dual
+    eigenvalue ascent for a certificate, else ``UNDECIDED``.
     """
     if spec.ambient != "sym":
         raise ValueError("psd_intersection expects a symmetric-ambient subspace")
@@ -352,23 +338,23 @@ def psd_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,
     # the identity is already definite, triviality is proven outright (a
     # certificate and a witness can never coexist, so probing early cannot
     # disagree with the primal search)
-    comp = _complement_basis(basis, tol)
+    comp = complement_basis(basis, tol)
     cert = _ascent_certificate(comp, n, 1, tol)
     if cert is not None:
         return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=cert)
 
     # start 0 (I/n) alone, as it often hits at once; then the rest as one
     # batch that stops once its lowest-indexed live start hits
-    hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(min(budget.starts, 1))),
-                         budget.projection_iters, tol)
+    hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(min(_STARTS, 1))),
+                         _PROJECTION_ITERS, tol)
     if not hits:
-        hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(1, budget.starts)),
-                             budget.projection_iters, tol, first=True)
+        hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(1, _STARTS)),
+                             _PROJECTION_ITERS, tol, first=True)
     if hits:
         (w,) = hits.values()
         return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=w / np.trace(w))
 
-    cert = _ascent_certificate(comp, n, budget.ascent_iters, tol)
+    cert = _ascent_certificate(comp, n, _ASCENT_ITERS, tol)
     if cert is not None:
         return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=cert)
     return ConeDecision(ConeStatus.UNDECIDED)

@@ -349,19 +349,13 @@ def check_m_equivalences(a, tol: Tolerances = DEFAULT_TOL) -> MEquivalenceAudit:
     # (a) by definition: an M-matrix that is numerically invertible
     invertible_m = report.m_class is MClass.INVERTIBLE_M and report.rank == n
 
-    # (b) there is x > 0 with A x > 0, decided by LP:
-    #     maximize t subject to x >= t e, A x >= t e, -1 <= x <= 1, -1 <= t <= 1
+    # (b) there is x > 0 with A x > 0: by Gordan's alternative, exactly when
+    #     {z >= 0 : 1^T z = 1, A^T z <= 0} is empty, an LP feasibility question
+    #     with no margin to compare against a tolerance
     from .numkernel import lp_solve  # local import keeps module init light
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.zeros((2 * n, n + 1))
-    a_ub[:n, :n] = -np.eye(n)
-    a_ub[:n, -1] = 1.0
-    a_ub[n:, :n] = -a
-    a_ub[n:, -1] = 1.0
-    bounds = [(-1.0, 1.0)] * (n + 1)
-    res = lp_solve(c, a_ub=a_ub, b_ub=np.zeros(2 * n), bounds=bounds, tol=tol)
-    positive_image = res.status == "optimal" and -res.objective > tol.feas_tol
+    res = lp_solve(np.zeros(n), a_ub=a.T, b_ub=np.zeros(n), a_eq=np.ones((1, n)),
+                   b_eq=np.ones(1), bounds=[(0.0, None)] * n, tol=tol)
+    positive_image = res.status == "infeasible"
 
     # (d)/(unlabeled): monotonicity and inverse nonnegativity via the inverse
     invertible = report.rank == n

@@ -52,8 +52,8 @@ class Tolerances:
     eq_tol
         Relative threshold for matrix-equality tests.
     max_iter
-        Iteration cap for the iterative routines (series summation,
-        alternating projections, ascent loops).
+        Term cap of the Neumann series in
+        :func:`lyapstein.matclass.neumann_inverse_check`.
     """
 
     rank_tol: float = 1e-9
@@ -121,8 +121,8 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     return qr_column_pivoted(m, tol)[3]
 
 
-def _svd_split(m, tol: Tolerances):
-    u, s, vh = np.linalg.svd(as_matrix(m))
+def _svd_split(m, tol: Tolerances, full_matrices: bool = True):
+    u, s, vh = np.linalg.svd(as_matrix(m), full_matrices=full_matrices)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
@@ -132,8 +132,19 @@ def _svd_split(m, tol: Tolerances):
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the range (column space) of ``m``."""
-    u, _, _, rank = _svd_split(m, tol)
+    u, _, _, rank = _svd_split(m, tol, full_matrices=False)
     return u[:, :rank].copy()
+
+
+def complement_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the orthogonal complement of ``m``'s range.
+
+    The trailing left singular vectors of a full SVD span it exactly, with
+    no dependence on the scale of a projector residue; a matrix with no
+    columns has the whole space as complement, a full-rank square one none.
+    """
+    u, _, _, rank = _svd_split(m, tol)
+    return u[:, rank:].copy()
 
 
 def null_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

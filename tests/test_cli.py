@@ -1,9 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from lyapstein import cli
+from lyapstein.catalog import CheckResult, EntryReport, SummaryTable, TableCell
+from lyapstein.conefeas import ConeDecision
+from lyapstein.groupinv import ExistenceAudit, GroupInverseResult
+from lyapstein.matclass import ClassReport, MEquivalenceAudit, SimReport
+from lyapstein.monotonicity import MonotonicityVerdict
+from lyapstein.numkernel import Tolerances
+from lyapstein.operators import PotencyReport
 
 
 def write_matrix_json(path, rows):
@@ -198,6 +207,125 @@ class TestReproduce:
         rows = {r["matrix_class"]: r for r in doc["result"]["rows"]}
         assert rows["square_is_identity"]["lyapunov"]["answer"] == "no"
         assert rows["square_is_identity"]["stein"]["answer"] == "yes"
+
+
+def fields(cls, drop=(), add=()) -> set:
+    return {f.name for f in dataclasses.fields(cls)} - set(drop) | set(add)
+
+
+def both_modes(capsys, *argv):
+    """Exit code (the same in human and --json mode) and the parsed JSON report."""
+    code, out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    assert code == json_code
+    assert out.strip() and json_out.strip()
+    return code, json.loads(json_out)
+
+
+class TestReportPaths:
+    """Every report path, in both modes; each JSON block is its dataclass's fields."""
+
+    CLASSIFY_KEYS = fields(ClassReport, drop={"spectrum"},
+                           add={"eigenvalues", "sim", "equivalence_audit"})
+
+    def classify(self, tmp_path, capsys, rows):
+        code, doc = both_modes(capsys, "classify", write_matrix_json(tmp_path / "a.json", rows))
+        assert code == cli.EXIT_OK
+        assert set(doc["tolerances"]) == fields(Tolerances)
+        assert set(doc["result"]) == self.CLASSIFY_KEYS
+        return doc["result"]
+
+    def test_classify_sim(self, tmp_path, capsys):
+        r = self.classify(tmp_path, capsys, [[1, -1], [-1, 1]])
+        assert set(r["sim"]) == fields(SimReport, drop={"witnesses"}, add={"all_true"})
+        assert r["equivalence_audit"] is None
+
+    def test_classify_audit(self, tmp_path, capsys):
+        r = self.classify(tmp_path, capsys, [[2, -1], [-1, 2]])
+        assert set(r["equivalence_audit"]) == fields(MEquivalenceAudit)
+        assert r["sim"] is None
+
+    def test_classify_not_z(self, tmp_path, capsys):
+        r = self.classify(tmp_path, capsys, [[0, 1], [1, 0]])
+        assert r["sim"] is None and r["equivalence_audit"] is None
+
+    def test_operator(self, tmp_path, capsys):
+        path = write_matrix_json(tmp_path / "j.json", [[0, 1], [-1, 0]])
+        code, doc = both_modes(capsys, "operator", "lyapunov", path)
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == {"kind", "n", "dim", "operator_norm", "coordinate_matrix"}
+
+    def test_operator_analyze(self, tmp_path, capsys):
+        path = write_matrix_json(tmp_path / "j.json", [[0, 1], [-1, 0]])
+        code, doc = both_modes(capsys, "operator", "lyapunov", path, "--analyze")
+        assert code == cli.EXIT_OK
+        r = doc["result"]
+        assert set(r) == {"kind", "n", "dim", "operator_norm", "idempotent", "k_potency",
+                          "group_inverse", "z_operator_spot_check", "monotonicity"}
+        assert set(r["k_potency"]) == fields(PotencyReport)
+        assert set(r["group_inverse"]) == fields(GroupInverseResult, drop={"inverse"},
+                                                 add={"audit"})
+        assert set(r["group_inverse"]["audit"]) == fields(ExistenceAudit)
+        assert set(r["monotonicity"]) == fields(MonotonicityVerdict)
+
+    def test_solve(self, tmp_path, capsys):
+        a = write_matrix_json(tmp_path / "a.json", [[0.5, 0.1], [0, 0.2]])
+        q = write_matrix_json(tmp_path / "q.json", [[1, 0], [0, 1]])
+        code, doc = both_modes(capsys, "solve", "stein", a, q)
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == {"x", "residual", "solution_class"}
+
+    def test_solve_singular(self, tmp_path, capsys):
+        a = write_matrix_json(tmp_path / "a.json", [[0, 1], [-1, 0]])
+        q = write_matrix_json(tmp_path / "q.json", [[1, 0], [0, 1]])
+        code, doc = both_modes(capsys, "solve", "lyapunov", a, q)
+        assert code == cli.EXIT_SINGULAR
+        assert doc["error"] == "singular_operator" and len(doc["kernel"]) == 1
+
+    @pytest.mark.parametrize("rows, exists", [([[1, -1], [-1, 1]], True),
+                                              ([[0, 1], [0, 0]], False)])
+    def test_groupinv(self, tmp_path, capsys, rows, exists):
+        code, doc = both_modes(capsys, "groupinv", write_matrix_json(tmp_path / "a.json", rows))
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == fields(GroupInverseResult)
+        assert doc["result"]["exists"] is exists
+
+    @pytest.mark.parametrize("cone, basis", [
+        ("psd", {"ambient": "sym", "n": 2, "matrices": [[[1, 0], [0, -1]]]}),
+        ("orthant", {"ambient": "vec", "n": 2, "vectors": [[1, 0]]})])
+    def test_feas(self, tmp_path, capsys, cone, basis):
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(basis))
+        code, doc = both_modes(capsys, "feas", cone, str(p))
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == fields(ConeDecision)
+
+    @pytest.mark.parametrize("argv", [("--entry", "illus_st(b)"), ("--all",)])
+    def test_reproduce_entries(self, capsys, argv):
+        code, doc = both_modes(capsys, "reproduce", *argv)
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == {"entries", "all_passed"}
+        for entry in doc["result"]["entries"]:
+            assert set(entry) == fields(EntryReport)
+            assert all(set(c) == fields(CheckResult) for c in entry["checks"])
+
+    def test_reproduce_table(self, capsys):
+        code, doc = both_modes(capsys, "reproduce", "--table")
+        assert code == cli.EXIT_OK
+        assert set(doc["result"]) == fields(SummaryTable)
+        for row in doc["result"]["rows"]:
+            assert set(row["lyapunov"]) == set(row["stein"]) == fields(TableCell)
+
+    def test_non_convergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an LP status that is neither optimal, infeasible nor unbounded
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        path = write_matrix_json(tmp_path / "a.json", [[2, -1], [-1, 2]])
+        code, _, err = run(capsys, "classify", path)
+        assert code == cli.EXIT_NONCONVERGENCE == 7
+        assert "non-convergence" in err
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from lyapstein import conefeas, operators
 from lyapstein.conefeas import ConeBudget, ConeStatus, SubspaceSpec
-from lyapstein.numkernel import DEFAULT_TOL
+from lyapstein.numkernel import DEFAULT_TOL, complement_basis
 from lyapstein.symspace import psd_project, smat, svec
 
 from conftest import orthant_slice_extreme_rays, random_symmetric
@@ -97,7 +98,7 @@ class TestOrthantIntersection:
             k = int(rng.integers(1, n))
             spec = conefeas.subspace_from_vectors(
                 [rng.standard_normal(n) for _ in range(k)], n)
-            comp = conefeas._complement_basis(spec.basis, conefeas.DEFAULT_TOL)
+            comp = complement_basis(spec.basis)
             rays = orthant_slice_extreme_rays(comp.T, n)
             dec = conefeas.orthant_intersection(spec)
             assert (dec.status is ConeStatus.NONTRIVIAL_WITNESS) == bool(rays)
@@ -253,8 +254,8 @@ class TestBatchedDykstra:
                                        first=True)
         assert list(first) == sorted(singles)[:1]
 
-        budget = ConeBudget(starts=k, projection_iters=iters, ascent_iters=50, seed=seed)
-        dec = conefeas.psd_intersection(spec, budget=budget)
+        with mock.patch.multiple(conefeas, _STARTS=k, _PROJECTION_ITERS=iters, _ASCENT_ITERS=50):
+            dec = conefeas.psd_intersection(spec, budget=ConeBudget(seed=seed))
         if dec.status is ConeStatus.NONTRIVIAL_WITNESS:
             w = singles[min(singles)]  # the lowest-indexed start that hits wins
             assert_allclose(dec.witness, w / np.trace(w), rtol=0, atol=1e-12)
@@ -287,22 +288,26 @@ class TestWitnessBudget:
             return original(basis, n, starts, *args, **kwargs)
 
         monkeypatch.setattr(conefeas, "_dykstra_hits", recording)
+        monkeypatch.setattr(conefeas, "_ASCENT_ITERS", 50)
         return seen
 
-    def test_zero_starts_fall_through_to_ascent(self, kernel_starts):
+    def test_zero_starts_fall_through_to_ascent(self, kernel_starts, monkeypatch):
         # diag(1, 0) spans a subspace the identity is not in, and the
         # one-step probe cannot certify; start 0 would hit at once
         spec = conefeas.subspace_from_matrices([np.diag([1.0, 0.0])], 2)
-        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=0, ascent_iters=50))
+        monkeypatch.setattr(conefeas, "_STARTS", 0)
+        dec = conefeas.psd_intersection(spec)
         assert dec.status is ConeStatus.UNDECIDED
         assert sum(len(s) for s in kernel_starts) == 0
-        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=1, ascent_iters=50))
+        monkeypatch.setattr(conefeas, "_STARTS", 1)
+        dec = conefeas.psd_intersection(spec)
         assert dec.status is ConeStatus.NONTRIVIAL_WITNESS
         assert_allclose(dec.witness, np.diag([1.0, 0.0]), atol=1e-12)
 
-    def test_one_start_runs_only_identity(self, kernel_starts):
+    def test_one_start_runs_only_identity(self, kernel_starts, monkeypatch):
         spec = random_psd_spec(165)  # start 0 misses here, start 3 hits
-        dec = conefeas.psd_intersection(spec, budget=ConeBudget(starts=1, ascent_iters=50))
+        monkeypatch.setattr(conefeas, "_STARTS", 1)
+        dec = conefeas.psd_intersection(spec)
         assert dec.status is ConeStatus.UNDECIDED
         rows = np.vstack(kernel_starts)
         assert rows.shape[0] == 1

@@ -365,6 +365,14 @@ class TestEquivalences:
             assert "p_matrix" not in exc.details
             assert set(exc.details.values()) == {not expected}
 
+    def test_positive_image_on_ill_conditioned_invertible_m(self):
+        # A = 0.001 I - N, N nonnegative strictly upper: an invertible M-matrix
+        # with cond(A) near 1e6, where an LP margin for x > 0, Ax > 0 shrinks
+        # below feas_tol; Gordan's alternative has no margin to lose
+        n_part = np.array([[0.0, 0.37, 0.041], [0.0, 0.0, 0.48], [0.0, 0.0, 0.0]])
+        audit = matclass.check_m_equivalences(0.001 * np.eye(3) - n_part)
+        assert audit.consistent and all(audit.items.values())
+
     def test_no_disagreements_on_margin_bounded_random(self, rng):
         # 200 random Z-matrices with |s - rho(B)| bounded away from zero
         for _ in range(200):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from lyapstein.numkernel import (
     DEFAULT_TOL,
     Tolerances,
+    complement_basis,
     general_eigenvalues,
     lp_solve,
     null_basis,
@@ -74,6 +75,22 @@ class TestSubspaces:
             if rng.random() < 0.5:
                 m[:, 0] = m[:, 1]  # force rank deficiency half the time
             assert range_basis(m).shape[1] + null_basis(m).shape[1] == 4
+
+    def test_complement_edges(self, rng):
+        # no columns: the complement is the whole space; full rank: nothing
+        assert range_basis(np.zeros((3, 0))).shape == (3, 0)
+        assert_allclose(complement_basis(np.zeros((3, 0))), np.eye(3))
+        assert_allclose(complement_basis(np.zeros((3, 2))), np.eye(3))
+        assert complement_basis(rng.standard_normal((3, 3))).shape == (3, 0)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (5, 5), (3, 5)])
+    def test_range_and_complement_split_the_space(self, rng, shape):
+        m = rng.standard_normal(shape)
+        m[:, 0] = m[:, -1]  # rank deficient when square
+        both = np.hstack([range_basis(m), complement_basis(m)])
+        assert both.shape == (shape[0], shape[0])
+        assert_allclose(both.T @ both, np.eye(shape[0]), atol=1e-12)
+        assert_allclose(complement_basis(m).T @ m, 0.0, atol=1e-12)
 
 
 class TestSymEigen:
