@@ -25,8 +25,8 @@ from .numkernel import (
     Tolerances,
     _svd_split,
     as_square,
+    complement_basis,
     lp_solve,
-    null_basis,
     numerical_rank,
     qr_column_pivoted,
 )
@@ -115,7 +115,7 @@ def group_inverse(m, tol: Tolerances = DEFAULT_TOL) -> GroupInverseResult:
 
 @dataclass(frozen=True)
 class ExistenceAudit:
-    """The four equivalent group-inverse existence conditions, computed independently."""
+    """The four group-inverse existence conditions; the two about ``M^2`` are one comparison."""
 
     complementary_subspaces: bool
     range_of_square_equals_range: bool
@@ -132,7 +132,9 @@ def group_inverse_exists_audit(m, tol: Tolerances = DEFAULT_TOL) -> ExistenceAud
 
     The range and null bases come from one SVD; the axioms' solvability is
     :func:`group_inverse`'s existence decision, without forming the inverse.
-    Disagreement raises :class:`InconsistencyError` carrying the dissenting items.
+    ``n - rank(M^2) == n - rank(M)`` repeats ``rank(M^2) == rank(M)``, so the
+    four items rest on three independent computations.  Disagreement raises
+    :class:`InconsistencyError` carrying the dissenting items.
     """
     m = as_square(m)
     n = m.shape[0]
@@ -197,8 +199,8 @@ def nonneg_on_range(a, a_sharp, tol: Tolerances = DEFAULT_TOL) -> NonnegOnRangeR
     a = as_square(a)
     a_sharp = as_square(a_sharp)
     n = a.shape[0]
-    # range(A) = null(A^T)^perp, so membership is A^T-null-basis^T x = 0
-    q = null_basis(a.T, tol).T
+    # membership in range(A) is orthogonality to its complement
+    q = complement_basis(a, tol).T
     a_eq = np.vstack([q, np.ones((1, n))])
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[-1] = 1.0

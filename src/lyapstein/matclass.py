@@ -264,13 +264,11 @@ def verify_sim(a, tol: Tolerances = DEFAULT_TOL) -> SimReport:
     witnesses: dict = {}
     rank_ok = report.rank == n - 1
 
-    try:
-        perron = perron_null_vector(a, tol, _classified=True)
-        perron_ok = bool(np.min(perron) > tol.feas_tol
-                         and np.linalg.norm(a @ perron) <= tol.feas_tol)
+    perron = report.perron_vector
+    perron_ok = perron is not None and bool(np.min(perron) > tol.feas_tol
+                                            and np.linalg.norm(a @ perron) <= tol.feas_tol)
+    if perron is not None:
         witnesses["perron_vector"] = perron
-    except (ValueError, InconsistencyError):
-        perron_ok = False
 
     gi = groupinv.group_inverse(a, tol)
     gi_ok = gi.exists and max(gi.residuals) <= tol.eq_tol * (1.0 + np.linalg.norm(a))
@@ -336,7 +334,9 @@ def check_m_equivalences(a, tol: Tolerances = DEFAULT_TOL) -> MEquivalenceAudit:
 
     Every item is computed by its own method; they must all agree.  A
     disagreement outside the singular boundary band raises
-    :class:`InconsistencyError` naming the dissenting items.
+    :class:`InconsistencyError` naming the dissenting items; a numerically
+    singular ``A`` (rank below ``n``) counts as the band, as it may pass
+    the shift test while the items that need the inverse fail.
     """
     a = as_square(a)
     n = a.shape[0]
@@ -393,7 +393,7 @@ def check_m_equivalences(a, tol: Tolerances = DEFAULT_TOL) -> MEquivalenceAudit:
     if report.is_irreducible:
         votes["inverse_positive"] = bool(inverse_positive)
     consistent = len(set(votes.values())) == 1
-    if not consistent and not report.boundary:
+    if not consistent and not report.boundary and invertible:
         majority = sum(votes.values()) * 2 >= len(votes)
         dissent = {k: v for k, v in votes.items() if v != majority}
         raise InconsistencyError("invertible-M characterizations disagree", dissent)

@@ -28,8 +28,9 @@ import numpy as np
 
 from . import conefeas, groupinv, matclass
 from .conefeas import ConeBudget, ConeStatus, SubspaceSpec
-from .numkernel import DEFAULT_TOL, Tolerances, as_square, null_basis, range_basis
-from .operators import OperatorKind, OperatorMatrix, apply, is_idempotent, lyapunov, stein
+from .numkernel import DEFAULT_TOL, Tolerances, _svd_split, as_square, range_basis
+from .operators import (OperatorKind, OperatorMatrix, apply, is_idempotent, lyapunov,
+                        s_idempotent_expected, stein)
 from .symspace import smat, svec
 
 # a refutation witness must be macroscopically indefinite, not tolerance-level noise
@@ -71,19 +72,18 @@ def decide_trivial_matrix(a, tol: Tolerances = DEFAULT_TOL) -> MonotonicityVerdi
                                    fast_path="singular_irreducible_m")
 
     # index defect: w with A^2 w = 0 but A w != 0 gives the witness x = A w
-    x = _index_defect_image(a, tol)
+    a2, range2, x = _index_defect_image(a, tol)
     if x is not None:
         x *= _first_nonzero_sign(x)  # A x = 0, so the sign is free
         return MonotonicityVerdict(Verdict.NO, Verdict.UNDECIDED, witness=x)
 
-    decision = conefeas.orthant_intersection(
-        SubspaceSpec("vec", n, range_basis(a @ a, tol)), tol)
+    decision = conefeas.orthant_intersection(SubspaceSpec("vec", n, range2), tol)
     if decision.status is ConeStatus.TRIVIAL_CERTIFIED:
         return MonotonicityVerdict(Verdict.YES, Verdict.YES,
                                    certificate=decision.certificate)
     # nonzero y = A^2 w in the orthant: x = A w satisfies A x = y >= 0
     y = decision.witness
-    w, *_ = np.linalg.lstsq(a @ a, y, rcond=None)
+    w, *_ = np.linalg.lstsq(a2, y, rcond=None)
     x = a @ w
     x = x / np.linalg.norm(x)
     range_verdict = Verdict.NO if np.min(x) < -tol.feas_tol else Verdict.UNDECIDED
@@ -129,7 +129,7 @@ def structural_fast_paths(a, tol: Tolerances = DEFAULT_TOL) -> list[FastPathHit]
     if (np.abs(off).max(initial=0.0) <= band_lin
             and np.all((np.abs(diag) <= band_lin) | (np.abs(diag - 0.5) <= band_lin))):
         hits.append(FastPathHit("lyapunov", "range", "diagonal_zero_half"))
-    if np.linalg.norm(a2 - a) <= band_sq or np.linalg.norm(a2 + a) <= band_sq:
+    if s_idempotent_expected(a, tol):
         hits.append(FastPathHit("stein", "range", "square_is_plus_minus_self"))
     return hits
 
@@ -139,16 +139,18 @@ def _in_range_residual(x_coords, basis):
 
 
 def _index_defect_image(m, tol: Tolerances):
-    """A unit-norm element of null(M) cap range(M), if the index exceeds one."""
-    kernel2 = null_basis(m @ m, tol)
-    if kernel2.shape[1] == 0:
-        return None
-    images = m @ kernel2
-    norms = np.linalg.norm(images, axis=0)
-    j = int(np.argmax(norms))
-    if norms[j] <= tol.feas_tol:
-        return None
-    return images[:, j] / norms[j]
+    """``(M^2, range(M^2) basis, unit element of null(M) cap range(M) or None)``,
+    all from one SVD of ``M^2``; the defect exists when the index exceeds one."""
+    m2 = m @ m
+    u, _, vh, rank = _svd_split(m2, tol, full_matrices=False)
+    defect = None
+    if rank < m.shape[0]:
+        images = m @ vh[rank:].T.copy()  # M times a basis of null(M^2)
+        norms = np.linalg.norm(images, axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] > tol.feas_tol:
+            defect = images[:, j] / norms[j]
+    return m2, u[:, :rank].copy(), defect
 
 
 def decide_trivial_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
@@ -166,17 +168,15 @@ def decide_trivial_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
             if hit.operator == op.kind.value and hit.conclusion == "trivial":
                 return MonotonicityVerdict(Verdict.YES, Verdict.YES, fast_path=hit.rule)
 
-    defect = _index_defect_image(op.mat, tol)
+    m2, range2, defect = _index_defect_image(op.mat, tol)
     if defect is not None:
         # X = T(W) with T(X) = 0: in the range, killed by T, nonzero
         sign = _first_nonzero_sign(defect)
         return MonotonicityVerdict(Verdict.NO, Verdict.UNDECIDED,
                                    witness=smat(sign * defect))
 
-    m2 = op.mat @ op.mat
     decision = conefeas.psd_intersection(
-        conefeas.subspace_from_coordinates(range_basis(m2, tol), op.n, tol),
-        tol, budget)
+        conefeas.subspace_from_coordinates(range2, op.n, tol), tol, budget)
     if decision.status is ConeStatus.TRIVIAL_CERTIFIED:
         return MonotonicityVerdict(Verdict.YES, Verdict.YES,
                                    certificate=decision.certificate)
@@ -212,18 +212,17 @@ def _verify_range_refutation(op: OperatorMatrix, x_coords, basis, tol: Tolerance
 
 
 def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
-                          budget: ConeBudget = conefeas.DEFAULT_BUDGET,
-                          trivial: MonotonicityVerdict | None = None) -> MonotonicityVerdict:
+                          budget: ConeBudget = conefeas.DEFAULT_BUDGET, *,
+                          trivial: MonotonicityVerdict) -> MonotonicityVerdict:
     """Does ``T(X) PSD, X in range(T)`` force ``X PSD``?
 
-    Yes when triviality holds or the operator is idempotent.  A No
-    requires a verified witness; the search probes both signs of the
-    triviality witness (the index defect, when there is one) and
-    group-inverse preimages of sampled points of ``range(T)`` cap the PSD
-    cone from deterministic seeds.  Anything else is honest ``UNDECIDED``.
+    ``trivial`` is :func:`decide_trivial_operator`'s verdict.  Yes when
+    triviality holds or the operator is idempotent.  A No requires a
+    verified witness; the search probes both signs of the triviality
+    witness (the index defect, when there is one) and the preimages in
+    ``range(T)`` of sampled points of ``range(T)`` cap the PSD cone from
+    deterministic seeds.  Anything else is honest ``UNDECIDED``.
     """
-    if trivial is None:
-        trivial = decide_trivial_operator(op, tol, budget)
     if trivial.trivially_range_monotone is Verdict.YES:
         return MonotonicityVerdict(trivial.trivially_range_monotone, Verdict.YES,
                                    certificate=trivial.certificate,
@@ -255,16 +254,16 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
             if found is not None:
                 return refuted(found)
 
-    gi = groupinv.group_inverse(op.mat, tol)
-    if gi.exists:
-        samples = conefeas.collect_psd_witness_samples(
-            conefeas.subspace_from_coordinates(basis, op.n, tol),
-            tol, starts=64, iters=800, seed=budget.seed)
-        for v in samples:
-            x_coords = gi.inverse @ svec(v)
-            found = _verify_range_refutation(op, x_coords, basis, tol)
-            if found is not None:
-                return refuted(found)
+    # X = B c with T(B c) = V, B the range basis: X = T#(V) at index <= 1
+    samples = conefeas.collect_psd_witness_samples(
+        conefeas.subspace_from_coordinates(basis, op.n, tol),
+        tol, starts=64, iters=800, seed=budget.seed)
+    image = op.mat @ basis
+    for v in samples:
+        x_coords = basis @ np.linalg.lstsq(image, svec(v), rcond=None)[0]
+        found = _verify_range_refutation(op, x_coords, basis, tol)
+        if found is not None:
+            return refuted(found)
 
     return MonotonicityVerdict(trivial.trivially_range_monotone, Verdict.UNDECIDED,
                                witness=trivial.witness, certificate=trivial.certificate)
@@ -301,28 +300,24 @@ def inverse_class_check(a, tol: Tolerances = DEFAULT_TOL,
     Lyapunov operator.
     """
     a = as_square(a)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    band_sq = tol.eq_tol * (1.0 + norm * norm)
-    band_lin = tol.eq_tol * (1.0 + norm)
-    a2 = a @ a
-    if np.linalg.norm(a2 + np.eye(n)) <= band_sq:
+    rules = {hit.rule for hit in structural_fast_paths(a, tol)}
+    if "square_is_minus_identity" in rules:
         inv = -a
         lv = decide_trivial_operator(lyapunov(inv), tol, budget, use_fast_paths=False)
         sv = decide_trivial_operator(stein(inv), tol, budget, use_fast_paths=False)
         return InverseClassReport("square_is_minus_identity", lv, sv)
-    if np.linalg.norm(a2 - np.eye(n)) <= band_sq:
+    if "square_is_identity" in rules:
         inv = a
         sv = decide_trivial_operator(stein(inv), tol, budget, use_fast_paths=False)
         return InverseClassReport("square_is_identity", None, sv)
-    if np.linalg.norm(a + a.T) <= band_lin:
+    if "skew_symmetric" in rules:
         gi = groupinv.group_inverse(a, tol)
         if not gi.exists:
             raise ValueError("skew matrix unexpectedly lacks a group inverse")
         lv = decide_trivial_operator(lyapunov(gi.inverse), tol, budget,
                                      use_fast_paths=False)
         return InverseClassReport("skew_symmetric", lv, None)
-    raise ValueError("inverse_class_check requires A^2 = +-I or skew-symmetric A")
+    raise ValueError("inverse_class_check requires A^2 = +-I or nonzero skew-symmetric A")
 
 
 def randomized_trivial_refuter(op: OperatorMatrix, samples: int = 100_000,

@@ -75,6 +75,16 @@ class TestClassify:
         assert code == 0
         assert "invertible M-matrix; equivalence audit: consistent" in out
 
+    def test_numerically_singular_invertible_m_audit(self, tmp_path, capsys):
+        # cond 1e20: invertible by the shift test, rank 1 numerically; the
+        # audit reports the split instead of exiting 6
+        path = write_matrix_json(tmp_path / "a.json", [[1e-3, -1e7], [0, 1e-3]])
+        code, out, _ = run(capsys, "classify", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["m_class"] == "invertible_m"
+        assert doc["result"]["equivalence_audit"]["consistent"] is False
+
     def test_json_roundtrip(self, tmp_path, capsys):
         path = write_matrix_json(tmp_path / "a.json", [[1, -1], [-1, 1]])
         code, out, _ = run(capsys, "classify", path, "--json")

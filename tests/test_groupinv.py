@@ -6,6 +6,7 @@ from lyapstein import groupinv, operators
 from lyapstein.numkernel import (
     DEFAULT_TOL,
     InconsistencyError,
+    lp_solve,
     null_basis,
     numerical_rank,
     range_basis,
@@ -282,6 +283,52 @@ class TestNonnegOnRange:
         assert rep.ok == (want >= -DEFAULT_TOL.feas_tol)
         assert abs(rep.min_component - want) <= 1e-9 * (1.0 + abs(want))
         assert (rep.witness is None) == rep.ok
+
+
+def _nonneg_on_range_reference(a, a_sharp, tol=DEFAULT_TOL):
+    """Reference: the same LPs with range(A) written as null(A^T)^perp."""
+    n = a.shape[0]
+    a_eq = np.vstack([null_basis(a.T, tol).T, np.ones((1, n))])
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[-1] = 1.0
+    best = None
+    for i, row in enumerate(a_sharp):
+        res = lp_solve(row, a_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * n, tol=tol)
+        if i == 0 and res.status == "infeasible":
+            break
+        if best is None or res.objective < best.objective:
+            best = res
+    if best is None:
+        return True, None, 0.0
+    ok = best.objective >= -tol.feas_tol
+    return ok, None if ok else best.x, best.objective
+
+
+class TestNonnegOnRangeComplement:
+    def test_matches_null_of_transpose_route(self):
+        # orders 2-7, every rank, a third of the draws entrywise nonnegative:
+        # range(A)'s complement basis decides exactly as null(A^T) did
+        rng = np.random.default_rng(17)
+        checked = refuted = 0
+        for i in range(120):
+            n = int(rng.integers(2, 8))
+            r = int(rng.integers(1, n + 1))
+            u, v = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+            a = np.abs(u) @ np.abs(v).T if i % 3 == 0 else u @ v.T
+            res = groupinv.group_inverse(a)
+            if not res.exists:
+                continue
+            checked += 1
+            ok, witness, least = _nonneg_on_range_reference(a, res.inverse)
+            rep = groupinv.nonneg_on_range(a, res.inverse)
+            assert rep.ok == ok
+            assert abs(rep.min_component - least) <= 1e-9 * (1.0 + abs(least))
+            if witness is None:
+                assert rep.witness is None
+            else:
+                refuted += 1
+                assert_allclose(rep.witness, witness, atol=1e-9)
+        assert checked == 120 and refuted > 50
 
 
 class TestExtremeRays:

@@ -209,6 +209,21 @@ class TestVerifySim:
         assert certificate is sim.witnesses["almost_monotone_certificate"]
         assert np.all(certificate > 0)
 
+    def test_perron_vector_from_the_classification(self, rng, monkeypatch):
+        # the Perron vector comes from classify's report, not a second solve
+        a = np.eye(6) - random_column_stochastic(rng, 6).T
+        calls = []
+        perron = matclass.perron_null_vector
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return perron(*args, **kwargs)
+
+        monkeypatch.setattr(matclass, "perron_null_vector", counting)
+        sim = matclass.verify_sim(a)
+        assert sim.perron_positive and len(calls) == 1
+        assert_allclose(sim.witnesses["perron_vector"], perron(a), rtol=0, atol=0)
+
 
 def _all_proper_principal_submatrices_invertible_m(a):
     """Reference: classify every one of the 2^n - 2 proper principal submatrices."""
@@ -372,6 +387,22 @@ class TestEquivalences:
         n_part = np.array([[0.0, 0.37, 0.041], [0.0, 0.0, 0.48], [0.0, 0.0, 0.0]])
         audit = matclass.check_m_equivalences(0.001 * np.eye(3) - n_part)
         assert audit.consistent and all(audit.items.values())
+
+    @pytest.mark.parametrize("a", [
+        [[1e-3, -1e7], [0.0, 1e-3]],  # cond 1e20
+        [[1e-3, -1e5], [0.0, 1e-3]],
+        [[1.0, -1e6, 0.0], [0.0, 1.0, -1e6], [0.0, 0.0, 1.0]],
+    ])
+    def test_numerically_singular_invertible_m(self, a):
+        # the shift test says invertible_m, the rank is n - 1: the items that
+        # need the inverse dissent, and the audit reports it without raising
+        a = np.array(a)
+        assert matclass.classify(a).m_class is MClass.INVERTIBLE_M
+        assert matclass.classify(a).rank == a.shape[0] - 1
+        audit = matclass.check_m_equivalences(a)
+        assert not audit.consistent
+        assert not audit.items["invertible_m"] and not audit.items["monotone"]
+        assert audit.items["spectral_shift"] and audit.items["p_matrix"]
 
     def test_no_disagreements_on_margin_bounded_random(self, rng):
         # 200 random Z-matrices with |s - rho(B)| bounded away from zero

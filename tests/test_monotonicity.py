@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lyapstein import catalog, monotonicity, operators
+from lyapstein import catalog, conefeas, groupinv, monotonicity, operators
 from lyapstein.monotonicity import (
     Verdict,
     analyze_operator,
@@ -12,7 +12,8 @@ from lyapstein.monotonicity import (
     randomized_trivial_refuter,
     structural_fast_paths,
 )
-from lyapstein.operators import apply, lyapunov, stein
+from lyapstein.numkernel import DEFAULT_TOL, null_basis, range_basis
+from lyapstein.operators import apply, lyapunov, s_idempotent_expected, stein
 from lyapstein.symspace import svec
 
 from conftest import random_permutation_matrix
@@ -133,6 +134,47 @@ class TestOperatorRangeVerdicts:
         assert calls == [op.mat.shape]
         assert (v.range_monotone is Verdict.NO) == refuted
 
+    def test_no_group_inverse_in_the_range_search(self, monkeypatch):
+        # singular operators whose range search reaches the sampler; every
+        # No it returns is re-checked here from the definition
+        gi_calls, sampled = [], []
+        group_inverse = groupinv.group_inverse
+        collect = conefeas.collect_psd_witness_samples
+
+        def counting_gi(*args, **kwargs):
+            gi_calls.append(1)
+            return group_inverse(*args, **kwargs)
+
+        def counting_samples(*args, **kwargs):
+            sampled.append(1)
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(groupinv, "group_inverse", counting_gi)
+        monkeypatch.setattr(conefeas, "collect_psd_witness_samples", counting_samples)
+        rng = np.random.default_rng(31)
+        refuted = 0
+        for i in range(24):
+            n = int(rng.integers(2, 5))
+            v = rng.standard_normal((n, n))
+            lam = rng.standard_normal(n)
+            lam[1] = -lam[0] if i % 2 == 0 else 1.0 / lam[0]  # mu_01 = 0: singular
+            make = lyapunov if i % 2 == 0 else stein
+            op = make(v @ np.diag(lam) @ np.linalg.inv(v))
+            verdict = analyze_operator(op)
+            if verdict.range_monotone is Verdict.NO:
+                refuted += 1
+                x = verdict.witness
+                basis = range_basis(op.mat)
+                assert np.linalg.norm(svec(x) - basis @ (basis.T @ svec(x))) <= 1e-7
+                assert np.linalg.eigvalsh(x)[0] <= -1e-3
+                assert np.linalg.eigvalsh(apply(op, x))[0] >= -1e-7
+        assert gi_calls == []
+        assert sampled and refuted > 12
+
+    def test_range_decider_needs_the_trivial_verdict(self):
+        with pytest.raises(TypeError):
+            monotonicity.decide_range_operator(stein(SWAP))
+
     def test_refutation_witness_relations(self):
         op = lyapunov(SWAP)
         v = analyze_operator(op)
@@ -140,6 +182,81 @@ class TestOperatorRangeVerdicts:
         x = v.witness
         assert np.linalg.eigvalsh(x)[0] <= -1e-3
         assert np.linalg.eigvalsh(apply(op, x))[0] >= -1e-7
+
+
+def _null_route_defect_image(m, tol=DEFAULT_TOL):
+    """Reference: the defect from its own null(M^2) basis, a second SVD of M^2."""
+    kernel2 = null_basis(m @ m, tol)
+    if kernel2.shape[1] == 0:
+        return None
+    images = m @ kernel2
+    norms = np.linalg.norm(images, axis=0)
+    j = int(np.argmax(norms))
+    if norms[j] <= tol.feas_tol:
+        return None
+    return images[:, j] / norms[j]
+
+
+class TestIndexDefectImage:
+    def test_bit_identical_to_separate_routes(self):
+        # full-rank, rank-deficient and index-defect inputs: one SVD of M^2
+        # gives the same bits as range_basis(M^2) and the null(M^2) route
+        rng = np.random.default_rng(5)
+        defects = 0
+        for i in range(400):
+            n = int(rng.integers(2, 9))
+            if i % 3 == 0:
+                m = rng.standard_normal((n, n))
+            elif i % 3 == 1:
+                r = int(rng.integers(0, n))
+                m = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+            else:
+                v = rng.standard_normal((n, n))
+                e = np.diag(rng.standard_normal(n))
+                k = int(rng.integers(2, n + 1))
+                e[:k, :k] = np.diag(np.ones(k - 1), 1)  # a nilpotent block of order k
+                m = v @ e @ np.linalg.inv(v)
+            m2, range2, defect = monotonicity._index_defect_image(m, DEFAULT_TOL)
+            want = _null_route_defect_image(m)
+            assert np.array_equal(m2, m @ m)
+            assert np.array_equal(range2, range_basis(m @ m))
+            if want is None:
+                assert defect is None
+            else:
+                assert np.array_equal(defect, want)
+                defects += 1
+        assert defects > 50
+
+    @pytest.mark.parametrize("op", [
+        stein(np.array([[1.0, 1.0], [0.0, 1.0]])),  # index defect
+        stein(np.diag([1.0, 2.0])),  # PSD-path witness
+        stein(SWAP),  # certified trivial
+    ])
+    def test_one_svd_per_decision(self, op, monkeypatch):
+        # past the fast paths, the decider's own linear algebra is one SVD of
+        # T^2; the cone routines' SVDs are theirs and are not counted here
+        calls, counting = [], [True]
+        svd = np.linalg.svd
+
+        def counting_svd(m, *args, **kwargs):
+            if counting[0]:
+                calls.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        def paused(fn):
+            def run(*args, **kwargs):
+                counting[0] = False
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    counting[0] = True
+            return run
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name in ("subspace_from_coordinates", "psd_intersection"):
+            monkeypatch.setattr(conefeas, name, paused(getattr(conefeas, name)))
+        decide_trivial_operator(op, use_fast_paths=False)
+        assert calls == [op.mat.shape]
 
 
 class TestFastPaths:
@@ -160,6 +277,23 @@ class TestFastPaths:
         assert not any(h.conclusion == "trivial" for h in hits)
         # range conclusions do fire (zero operator / identity operator)
         assert any(h.conclusion == "range" for h in hits)
+
+    def test_stein_range_rule_is_the_idempotency_criterion(self):
+        # the square_is_plus_minus_self rule fires exactly when
+        # s_idempotent_expected holds, band edges included
+        rng = np.random.default_rng(9)
+        fired = 0
+        for i in range(300):
+            n = int(rng.integers(1, 5))
+            v = rng.standard_normal((n, n))
+            p = v @ np.diag(rng.integers(0, 2, n).astype(float)) @ np.linalg.inv(v)
+            a = p if i % 3 else -p  # A^2 = A or A^2 = -A
+            a = a + rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-2]) * rng.standard_normal((n, n))
+            rule = ("stein", "range", "square_is_plus_minus_self")
+            hit = rule in {(h.operator, h.conclusion, h.rule) for h in structural_fast_paths(a)}
+            assert hit == s_idempotent_expected(a)
+            fired += hit
+        assert 50 < fired < 300
 
     def test_no_structural_negatives(self, rng):
         # fast paths only ever assert Yes; counterexample classes get nothing
@@ -187,6 +321,11 @@ class TestInverseClasses:
     def test_rejects_other_classes(self):
         with pytest.raises(ValueError):
             inverse_class_check(np.diag([1.0, 2.0]))
+
+    def test_rejects_zero(self):
+        # A = 0 is not skew for structural_fast_paths, whose class the check reads
+        with pytest.raises(ValueError):
+            inverse_class_check(np.zeros((2, 2)))
 
 
 class TestReductionValidity:
