@@ -1,8 +1,9 @@
 """Cone-triviality decisions with witnesses and certificates.
 
 The orthant side is an exact dichotomy (two linear programs); the PSD
-side runs alternating projections for witnesses and an eigenvalue ascent
-for certificates, and admits an honest "undecided".
+side settles easy cases with shortcuts and one-step probes and the rest
+with one interior-point solve, which returns a re-verified witness or
+certificate ("undecided" is left for boundary cases within tolerance).
 
 Run:  python3 demos/cone_feasibility.py
 """
@@ -38,8 +39,7 @@ dec = conefeas.psd_intersection(spec)
 print(f"  status: {dec.status.value}   certificate:\n{dec.certificate}")
 
 print("\nPSD: a tilted trivial instance where the trace shortcut does not")
-print("apply; the eigenvalue ascent finds a definite certificate in the")
-print("orthogonal complement.")
+print("apply; a definite certificate is found in the orthogonal complement.")
 m1 = np.array([[1.0, 2.0], [2.0, -1.5]])
 m2 = np.array([[0.0, 1.0], [1.0, 0.3]])
 spec = conefeas.subspace_from_matrices([m1, m2], 2)

@@ -113,11 +113,11 @@ def _run_check(op, check: dict, tol: Tolerances, budget: ConeBudget,
         ok = dev <= tol.feas_tol * (1.0 + op.norm)
         return CheckResult(kind, ok, f"deviation from {check['alpha']}*T: {dev:.3e}")
     if kind == "trivial_verdict":
-        verdict = _trivial_verdict(op, tol, budget, verdict_cache)
+        verdict = _trivial_verdict(op, tol, verdict_cache)
         return CheckResult(kind, verdict.trivially_range_monotone.value == check["value"],
                            f"got {verdict.trivially_range_monotone.value}")
     if kind == "range_verdict":
-        trivial = _trivial_verdict(op, tol, budget, verdict_cache)
+        trivial = _trivial_verdict(op, tol, verdict_cache)
         full = monotonicity.decide_range_operator(op, tol, budget, trivial=trivial)
         got = full.range_monotone
         if check["value"] == "not_refuted":
@@ -128,9 +128,9 @@ def _run_check(op, check: dict, tol: Tolerances, budget: ConeBudget,
     raise ValueError(f"unknown check type {kind!r}")
 
 
-def _trivial_verdict(op, tol, budget, cache):
+def _trivial_verdict(op, tol, cache):
     if "trivial" not in cache:
-        cache["trivial"] = monotonicity.decide_trivial_operator(op, tol, budget)
+        cache["trivial"] = monotonicity.decide_trivial_operator(op, tol)
     return cache["trivial"]
 
 
@@ -161,7 +161,7 @@ class SummaryTable:
     rows: tuple[dict, ...]  # matrix_class -> {"lyapunov": TableCell, "stein": TableCell}
 
 
-def _certify_yes(kind: str, matrices, tol: Tolerances, budget: ConeBudget) -> int:
+def _certify_yes(kind: str, matrices, tol: Tolerances) -> int:
     """Fast path and general decider must independently agree on Yes."""
     for m in matrices:
         a = np.asarray(m, float)
@@ -170,7 +170,7 @@ def _certify_yes(kind: str, matrices, tol: Tolerances, budget: ConeBudget) -> in
             raise ReproductionError(
                 f"no structural fast path certifies the {kind} operator for a class representative")
         op = operators.make_operator(kind, a)
-        general = monotonicity.decide_trivial_operator(op, tol, budget, use_fast_paths=False)
+        general = monotonicity.decide_trivial_operator(op, tol, use_fast_paths=False)
         if general.trivially_range_monotone is not Verdict.YES:
             raise ReproductionError(
                 f"general decider returned {general.trivially_range_monotone.value} "
@@ -207,11 +207,11 @@ def reproduce_table(tol: Tolerances = DEFAULT_TOL,
             witnesses = tuple(cell.get("witness_entries", []))
             checked = 0
             if answer == "yes":
-                checked = _certify_yes(kind, reps, tol, budget)
+                checked = _certify_yes(kind, reps, tol)
             elif answer == "no":
                 _verify_no(witnesses, reports, tol, budget)
             elif answer == "yes_order2_no_higher":
-                checked = _certify_yes(kind, reps, tol, budget)
+                checked = _certify_yes(kind, reps, tol)
                 _verify_no(witnesses, reports, tol, budget)
                 _verify_no([cell["order2_entry"]], reports, tol, budget)
             else:

@@ -353,9 +353,9 @@ def cmd_feas(args) -> int:
     else:
         if spec.ambient != "sym":
             raise ParseError("psd feasibility expects a symmetric-ambient basis file")
-        decision = conefeas.psd_intersection(spec, tol, _budget(args))
+        decision = conefeas.psd_intersection(spec, tol)
     out = {"command": "feas", "cone": args.cone, "input": args.basis,
-           "tolerances": tol, "seed": args.seed, "result": decision}
+           "tolerances": tol, "result": decision}
 
     def human(rep):
         r = rep["result"]

@@ -9,15 +9,15 @@ linear programs: either the subspace contains a nonzero nonnegative
 vector (witness), or its orthogonal complement contains a strictly
 positive vector (certificate) -- never both.
 
-PSD decisions run a three-stage pipeline: a trace shortcut (a subspace of
-trace-zero matrices meets the cone only at 0, certified by the identity),
-a primal witness search (Dykstra alternating projections between the
-trace-one slice of the subspace and the cone from multiple seeded starts,
-which advance together as one batch; the lowest start index that hits
-wins), and a dual certificate search (projected supergradient ascent of
-the smallest eigenvalue over the trace-normalized orthogonal complement).
-``UNDECIDED`` is an honest outcome when both searches exhaust their
-budget.
+PSD decisions run two exact shortcuts (a subspace of trace-zero matrices
+meets the cone only at 0, certified by the identity; a subspace holding
+the identity meets it at I/n), two one-step probes (a certificate probe
+in the orthogonal complement and iteration 0 of Dykstra's alternating
+projections for a witness), and then one primal-dual interior-point
+solve (``sdp``) whose iterates carry a witness or a certificate that is
+re-verified before it is returned.  ``UNDECIDED`` is left only for
+boundary cases within the tolerances, where the solve runs out of
+numerical precision before either piece of evidence verifies.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .numkernel import (
     lp_solve,
     range_basis,
 )
+from .sdp import Iterate, interior_point
 from .symspace import _triu_indices, smat, svec, sym_dim
 
 
@@ -112,16 +113,9 @@ class ConeDecision:
 
 @dataclass(frozen=True)
 class ConeBudget:
-    """Seed of the PSD pipeline's random Dykstra starts."""
+    """Seed of the range sampler's random Dykstra starts."""
 
     seed: int = 0
-
-
-# the PSD pipeline's search sizes: Dykstra starts, iterations per start,
-# and supergradient ascent steps
-_STARTS = 16
-_PROJECTION_ITERS = 5000
-_ASCENT_ITERS = 5000
 
 
 DEFAULT_BUDGET = ConeBudget()
@@ -168,11 +162,6 @@ def orthant_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL) -> C
     return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=certificate)
 
 
-def _min_eig_coords(v: np.ndarray):
-    w, q = np.linalg.eigh(smat(v))
-    return float(w[0]), q[:, 0]
-
-
 @lru_cache(maxsize=None)
 def _svec_layout(n: int):
     """Index maps between svec coordinates and row-major n-by-n entries.
@@ -199,7 +188,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def _dykstra_hits(basis, n, starts, iters, tol: Tolerances, first: bool = False) -> dict:
+def _dykstra_hits(basis, n, starts, iters, tol: Tolerances) -> dict:
     """Dykstra runs between {v in S : tr = 1} and the PSD cone, all starts at once.
 
     ``starts`` holds one svec start per row.  Every live start advances
@@ -215,8 +204,7 @@ def _dykstra_hits(basis, n, starts, iters, tol: Tolerances, first: bool = False)
     the rounding of ``eigvalsh`` at both ends, bounds it from above.
 
     Returns ``{start index: hit matrix}`` in start order; a hit lies in
-    the subspace with unit trace by construction.  With ``first`` the run
-    stops once the lowest-indexed live start has hit, and returns only it.
+    the subspace with unit trace by construction.
     """
     full, upper, scale, s_id = _svec_layout(n)
     u = basis @ (basis.T @ s_id)
@@ -246,10 +234,6 @@ def _dykstra_hits(basis, n, starts, iters, tol: Tolerances, first: bool = False)
             if done.size:
                 keep = np.ones(len(live), dtype=bool)
                 keep[done] = False
-                if first:
-                    keep &= live < min(hits)
-                if not keep.any():
-                    break
                 live, a, bound = live[keep], a[keep], bound[keep]
                 if it:
                     corr, best_gap, stalled = corr[keep], best_gap[keep], stalled[keep]
@@ -272,9 +256,6 @@ def _dykstra_hits(basis, n, starts, iters, tol: Tolerances, first: bool = False)
                 break
             live, x, a, bound = live[alive], x[alive], a[alive], bound[alive]
             corr, best_gap, stalled = corr[alive], best_gap[alive], stalled[alive]
-    if first and hits:
-        lowest = min(hits)
-        return {lowest: hits[lowest]}
     return dict(sorted(hits.items()))
 
 
@@ -287,38 +268,57 @@ def _starts(basis, n, seed: int, indices) -> np.ndarray:
     return starts
 
 
-def _ascent_certificate(comp, n, iters, tol: Tolerances):
-    """Supergradient ascent of the minimum eigenvalue over {P in S-perp : tr = n}."""
-    if comp.shape[1] == 0:
-        return None
+def _ipm_decision(basis, comp, n, tol: Tolerances) -> ConeDecision:
+    """Decide by one interior-point solve, stopping at the first iterate whose evidence verifies.
+
+    Primal: minimize n*z over Y PSD and z >= 0 with Y - z*I in S and
+    tr Y = 1.  Dual: maximize t over P = ``comp @ y`` in S-perp with
+    P - t*I PSD and tr P <= n.  (Y, z) = (I/n, 1/n) and (P, t) = (0, -1)
+    are strictly feasible, and at the optimum n*z = t: either z is 0 and
+    Y - z*I is a witness, or t > 0 and P is a certificate.
+    """
     s_id = svec(np.eye(n))
-    u = comp @ (comp.T @ s_id)
-    uu = float(u @ u)
-    if uu <= tol.feas_tol ** 2:
-        return None  # identity is orthogonal to S-perp: no trace-n slice
-
-    def proj_affine(v):
-        w = comp @ (comp.T @ v)
-        return w + ((n - w @ s_id) / uu) * u
-
-    p = proj_affine(s_id)
-    for it in range(1, iters + 1):
-        lam, vec = _min_eig_coords(p)
-        if lam > tol.feas_tol:
-            return smat(p)
-        step = n / np.sqrt(it)
-        p = proj_affine(p + step * svec(np.outer(vec, vec)))
-    return None
+    # constraint rows: comp^T (svec Y - z s_id) = 0, then tr Y = 1
+    a_psd = np.vstack([-comp.T, s_id])
+    a_lin = np.append(comp.T @ s_id, 0.0)[:, None]
+    b = np.zeros(a_psd.shape[0])
+    b[-1] = 1.0
+    start = Iterate(np.eye(n) / n, np.array([1.0 / n]), -b, np.eye(n), np.array([float(n)]))
+    # along feasible iterates the gap n*z - t is (n + 1) * mu, and once it is
+    # below feas_tol / 2 one of the two tests below passes in exact
+    # arithmetic; a floor three orders lower leaves only rounding to blame
+    mu_floor = 1e-3 * tol.feas_tol / (n + 1)
+    try:
+        for it in interior_point(a_psd, a_lin, b, np.zeros(s_id.size), np.array([float(n)]),
+                                 start, mu_floor):
+            p = smat(comp @ it.y[:-1])
+            if np.linalg.eigvalsh(p)[0] > tol.feas_tol:
+                return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=p)
+            # Y - z*I projected into S (which removes the primal residual), unit trace
+            v = basis @ (basis.T @ (svec(it.x) - it.xs[0] * s_id))
+            trace = float(v @ s_id)
+            if trace > 0:
+                w = smat(v / trace)
+                if np.linalg.eigvalsh(w)[0] >= -tol.feas_tol:
+                    return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=w)
+    except np.linalg.LinAlgError:
+        pass  # a factorization lost definiteness before either side verified
+    return ConeDecision(ConeStatus.UNDECIDED)
 
 
 def psd_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,
                      budget: ConeBudget = DEFAULT_BUDGET) -> ConeDecision:
     """Decide whether a subspace of symmetric matrices meets the PSD cone nontrivially.
 
-    Pipeline: trace shortcut, a one-step certificate probe, then the
-    primal Dykstra witness search from ``_STARTS`` starts seeded by
-    ``budget.seed`` (lowest start index wins), then the full dual
-    eigenvalue ascent for a certificate, else ``UNDECIDED``.
+    Pipeline: the trace shortcut and the identity shortcut; a one-step
+    certificate probe (the complement's trace-n slice point nearest the
+    identity) and a one-step witness probe (iteration 0 of Dykstra from
+    I/n); then one interior-point solve that stops at the first iterate
+    whose certificate or witness verifies.  ``UNDECIDED`` means that the
+    solve lost numerical definiteness, or closed its duality gap, with
+    neither piece of evidence verifying: a boundary case within the
+    tolerances.  ``budget`` is not read; it is kept for positional
+    callers.
     """
     if spec.ambient != "sym":
         raise ValueError("psd_intersection expects a symmetric-ambient subspace")
@@ -334,30 +334,25 @@ def psd_intersection(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,
     if np.linalg.norm(inside - s_id) <= tol.feas_tol:
         return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=np.eye(n) / n)
 
-    # cheap certificate probe: if the complement's trace-slice projection of
-    # the identity is already definite, triviality is proven outright (a
-    # certificate and a witness can never coexist, so probing early cannot
-    # disagree with the primal search)
+    # certificate probe: the complement's trace-n matrix nearest the
+    # identity; definite means triviality is proven outright (a certificate
+    # and a witness can never coexist, so probing first cannot disagree
+    # with the witness probe)
     comp = complement_basis(basis, tol)
-    cert = _ascent_certificate(comp, n, 1, tol)
-    if cert is not None:
-        return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=cert)
+    u = comp @ (comp.T @ s_id)
+    uu = float(u @ u)
+    if uu > tol.feas_tol ** 2:
+        p = u + ((n - u @ s_id) / uu) * u
+        if np.linalg.eigvalsh(smat(p))[0] > tol.feas_tol:
+            return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=smat(p))
 
-    # start 0 (I/n) alone, as it often hits at once; then the rest as one
-    # batch that stops once its lowest-indexed live start hits
-    hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(min(_STARTS, 1))),
-                         _PROJECTION_ITERS, tol)
-    if not hits:
-        hits = _dykstra_hits(basis, n, _starts(basis, n, budget.seed, range(1, _STARTS)),
-                             _PROJECTION_ITERS, tol, first=True)
+    # witness probe: the trace-one point of S nearest I/n, when it is PSD
+    hits = _dykstra_hits(basis, n, s_id[None] / n, 1, tol)
     if hits:
         (w,) = hits.values()
         return ConeDecision(ConeStatus.NONTRIVIAL_WITNESS, witness=w / np.trace(w))
 
-    cert = _ascent_certificate(comp, n, _ASCENT_ITERS, tol)
-    if cert is not None:
-        return ConeDecision(ConeStatus.TRIVIAL_CERTIFIED, certificate=cert)
-    return ConeDecision(ConeStatus.UNDECIDED)
+    return _ipm_decision(basis, comp, n, tol)
 
 
 def collect_psd_witness_samples(spec: SubspaceSpec, tol: Tolerances = DEFAULT_TOL,

@@ -29,8 +29,8 @@ import numpy as np
 from . import conefeas, groupinv, matclass
 from .conefeas import ConeBudget, ConeStatus, SubspaceSpec
 from .numkernel import DEFAULT_TOL, Tolerances, _svd_split, as_square, range_basis
-from .operators import (OperatorKind, OperatorMatrix, apply, is_idempotent, lyapunov,
-                        s_idempotent_expected, stein)
+from .operators import (OperatorKind, OperatorMatrix, _square_is_plus_minus_self, apply,
+                        is_idempotent, lyapunov, stein)
 from .symspace import smat, svec
 
 # a refutation witness must be macroscopically indefinite, not tolerance-level noise
@@ -129,7 +129,7 @@ def structural_fast_paths(a, tol: Tolerances = DEFAULT_TOL) -> list[FastPathHit]
     if (np.abs(off).max(initial=0.0) <= band_lin
             and np.all((np.abs(diag) <= band_lin) | (np.abs(diag - 0.5) <= band_lin))):
         hits.append(FastPathHit("lyapunov", "range", "diagonal_zero_half"))
-    if s_idempotent_expected(a, tol):
+    if _square_is_plus_minus_self(a, a2, tol):
         hits.append(FastPathHit("stein", "range", "square_is_plus_minus_self"))
     return hits
 
@@ -154,7 +154,6 @@ def _index_defect_image(m, tol: Tolerances):
 
 
 def decide_trivial_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
-                            budget: ConeBudget = conefeas.DEFAULT_BUDGET,
                             use_fast_paths: bool = True) -> MonotonicityVerdict:
     """Does ``T(X) PSD, X in range(T)`` force ``X = 0``?
 
@@ -176,7 +175,7 @@ def decide_trivial_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
                                    witness=smat(sign * defect))
 
     decision = conefeas.psd_intersection(
-        conefeas.subspace_from_coordinates(range2, op.n, tol), tol, budget)
+        conefeas.subspace_from_coordinates(range2, op.n, tol), tol)
     if decision.status is ConeStatus.TRIVIAL_CERTIFIED:
         return MonotonicityVerdict(Verdict.YES, Verdict.YES,
                                    certificate=decision.certificate)
@@ -272,7 +271,7 @@ def decide_range_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
 def analyze_operator(op: OperatorMatrix, tol: Tolerances = DEFAULT_TOL,
                      budget: ConeBudget = conefeas.DEFAULT_BUDGET) -> MonotonicityVerdict:
     """Combined trivial + range verdict for one operator."""
-    trivial = decide_trivial_operator(op, tol, budget)
+    trivial = decide_trivial_operator(op, tol)
     return decide_range_operator(op, tol, budget, trivial=trivial)
 
 
@@ -289,8 +288,7 @@ class InverseClassReport:
             v.trivially_range_monotone is Verdict.YES for v in checked)
 
 
-def inverse_class_check(a, tol: Tolerances = DEFAULT_TOL,
-                        budget: ConeBudget = conefeas.DEFAULT_BUDGET) -> InverseClassReport:
+def inverse_class_check(a, tol: Tolerances = DEFAULT_TOL) -> InverseClassReport:
     """Trivial range monotonicity inherited by the inverse (or group inverse).
 
     For ``A^2 = -I`` the inverse ``-A`` generates trivially range monotone
@@ -303,19 +301,18 @@ def inverse_class_check(a, tol: Tolerances = DEFAULT_TOL,
     rules = {hit.rule for hit in structural_fast_paths(a, tol)}
     if "square_is_minus_identity" in rules:
         inv = -a
-        lv = decide_trivial_operator(lyapunov(inv), tol, budget, use_fast_paths=False)
-        sv = decide_trivial_operator(stein(inv), tol, budget, use_fast_paths=False)
+        lv = decide_trivial_operator(lyapunov(inv), tol, use_fast_paths=False)
+        sv = decide_trivial_operator(stein(inv), tol, use_fast_paths=False)
         return InverseClassReport("square_is_minus_identity", lv, sv)
     if "square_is_identity" in rules:
         inv = a
-        sv = decide_trivial_operator(stein(inv), tol, budget, use_fast_paths=False)
+        sv = decide_trivial_operator(stein(inv), tol, use_fast_paths=False)
         return InverseClassReport("square_is_identity", None, sv)
     if "skew_symmetric" in rules:
         gi = groupinv.group_inverse(a, tol)
         if not gi.exists:
             raise ValueError("skew matrix unexpectedly lacks a group inverse")
-        lv = decide_trivial_operator(lyapunov(gi.inverse), tol, budget,
-                                     use_fast_paths=False)
+        lv = decide_trivial_operator(lyapunov(gi.inverse), tol, use_fast_paths=False)
         return InverseClassReport("skew_symmetric", lv, None)
     raise ValueError("inverse_class_check requires A^2 = +-I or nonzero skew-symmetric A")
 

@@ -254,7 +254,11 @@ def s_idempotent_expected(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Closed-form criterion: the Stein operator of ``A`` is idempotent
     iff ``A^2 == A`` or ``A^2 == -A``."""
     a = as_square(a)
-    a2 = a @ a
+    return _square_is_plus_minus_self(a, a @ a, tol)
+
+
+def _square_is_plus_minus_self(a, a2, tol: Tolerances) -> bool:
+    """``A^2 == +-A`` within ``eq_tol`` relative to ``1 + ||A||^2``, given ``a2 = A @ A``."""
     band = tol.eq_tol * (1.0 + float(np.linalg.norm(a)) ** 2)
     return bool(np.linalg.norm(a2 - a) <= band or np.linalg.norm(a2 + a) <= band)
 

@@ -276,7 +276,7 @@ def test_criterion_8_cone_oracle_equivalence():
             undecided += 1
         elif (dec.status is ConeStatus.NONTRIVIAL_WITNESS) != nontrivial:
             contradictions += 1
-    ok = contradictions == 0 and undecided <= 10
+    ok = contradictions == 0 and undecided == 0
     orthant_mismatches = 0
     for _ in range(100):
         n = int(rng.integers(2, 9))

@@ -1,5 +1,4 @@
 import inspect
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from lyapstein import conefeas, operators
-from lyapstein.conefeas import ConeBudget, ConeStatus, SubspaceSpec
+from lyapstein.conefeas import ConeStatus, SubspaceSpec
 from lyapstein.numkernel import DEFAULT_TOL, complement_basis
 from lyapstein.symspace import psd_project, smat, svec
 
@@ -250,68 +249,63 @@ class TestBatchedDykstra:
         assert list(batch) == sorted(singles)
         for i, w in batch.items():
             assert_allclose(w, singles[i], rtol=0, atol=1e-12)
-        first = conefeas._dykstra_hits(spec.basis, spec.n, starts, iters, DEFAULT_TOL,
-                                       first=True)
-        assert list(first) == sorted(singles)[:1]
-
-        with mock.patch.multiple(conefeas, _STARTS=k, _PROJECTION_ITERS=iters, _ASCENT_ITERS=50):
-            dec = conefeas.psd_intersection(spec, budget=ConeBudget(seed=seed))
-        if dec.status is ConeStatus.NONTRIVIAL_WITNESS:
-            w = singles[min(singles)]  # the lowest-indexed start that hits wins
-            assert_allclose(dec.witness, w / np.trace(w), rtol=0, atol=1e-12)
-        elif singles:
-            assert dec.status is ConeStatus.TRIVIAL_CERTIFIED  # settled before the search
 
     def test_lowest_start_wins_over_earlier_hits(self):
         # start 0 (I/n) and starts 1, 2 miss; start 3 hits, but only after
-        # several higher-indexed starts have hit
+        # several higher-indexed starts have hit and left the batch
         spec = random_psd_spec(165)
         starts = conefeas._starts(spec.basis, spec.n, 0, range(16))
         singles = single_start_hits(spec, starts[:4], 5000)
         assert list(singles) == [3]
         assert not single_start_hits(spec, starts[3:4], 100)
         assert conefeas._dykstra_hits(spec.basis, spec.n, starts[4:], 100, DEFAULT_TOL)
+        batch = conefeas._dykstra_hits(spec.basis, spec.n, starts, 5000, DEFAULT_TOL)
+        assert min(batch) == 3
+        assert_allclose(batch[3], singles[3], rtol=0, atol=1e-12)
+        # the decision itself: a witness in S, of unit trace, PSD
         dec = conefeas.psd_intersection(spec)
         assert dec.status is ConeStatus.NONTRIVIAL_WITNESS
-        assert_allclose(dec.witness, singles[3] / np.trace(singles[3]), rtol=0, atol=1e-12)
+        w = dec.witness
+        assert_allclose(np.trace(w), 1.0, atol=1e-12)
+        assert np.linalg.eigvalsh(w)[0] >= -DEFAULT_TOL.feas_tol
+        coords = svec(w)
+        assert np.linalg.norm(coords - spec.basis @ (spec.basis.T @ coords)) <= 1e-12
 
 
 class TestWitnessBudget:
     @pytest.fixture
-    def kernel_starts(self, monkeypatch):
-        """Start rows handed to the Dykstra kernel, one array per call."""
+    def kernel_calls(self, monkeypatch):
+        """(start rows, iterations) handed to the Dykstra kernel, one pair per call."""
         seen = []
         original = conefeas._dykstra_hits
 
-        def recording(basis, n, starts, *args, **kwargs):
-            seen.append(np.array(starts))
-            return original(basis, n, starts, *args, **kwargs)
+        def recording(basis, n, starts, iters, *args, **kwargs):
+            seen.append((np.array(starts), iters))
+            return original(basis, n, starts, iters, *args, **kwargs)
 
         monkeypatch.setattr(conefeas, "_dykstra_hits", recording)
-        monkeypatch.setattr(conefeas, "_ASCENT_ITERS", 50)
         return seen
 
-    def test_zero_starts_fall_through_to_ascent(self, kernel_starts, monkeypatch):
-        # diag(1, 0) spans a subspace the identity is not in, and the
-        # one-step probe cannot certify; start 0 would hit at once
+    def test_one_start_runs_only_identity(self, kernel_calls):
+        # the witness probe is Dykstra's iteration 0 from I/n, and nothing more;
+        # here it misses (start 3 is the first seeded start that would hit)
+        spec = random_psd_spec(165)
+        assert conefeas.psd_intersection(spec).status is ConeStatus.NONTRIVIAL_WITNESS
+        ((rows, iters),) = kernel_calls
+        assert rows.shape[0] == 1 and iters == 1
+        assert_allclose(rows[0], svec(np.eye(spec.n)) / spec.n, rtol=0, atol=0)
+
+    def test_uncertifiable_span_hits_at_first_probe(self, kernel_calls):
+        # diag(1, 0) spans a subspace the identity is not in, and the one-step
+        # certificate probe cannot certify; the witness probe hits at once with
+        # the projection of I/2 onto the trace-one slice
         spec = conefeas.subspace_from_matrices([np.diag([1.0, 0.0])], 2)
-        monkeypatch.setattr(conefeas, "_STARTS", 0)
-        dec = conefeas.psd_intersection(spec)
-        assert dec.status is ConeStatus.UNDECIDED
-        assert sum(len(s) for s in kernel_starts) == 0
-        monkeypatch.setattr(conefeas, "_STARTS", 1)
         dec = conefeas.psd_intersection(spec)
         assert dec.status is ConeStatus.NONTRIVIAL_WITNESS
-        assert_allclose(dec.witness, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_one_start_runs_only_identity(self, kernel_starts, monkeypatch):
-        spec = random_psd_spec(165)  # start 0 misses here, start 3 hits
-        monkeypatch.setattr(conefeas, "_STARTS", 1)
-        dec = conefeas.psd_intersection(spec)
-        assert dec.status is ConeStatus.UNDECIDED
-        rows = np.vstack(kernel_starts)
-        assert rows.shape[0] == 1
-        assert_allclose(rows[0], svec(np.eye(spec.n)) / spec.n)
+        assert_allclose(dec.witness, np.diag([1.0, 0.0]), rtol=0, atol=1e-12)
+        ((rows, iters),) = kernel_calls
+        assert rows.shape[0] == 1 and iters == 1
+        assert_allclose(rows[0], svec(np.eye(2)) / 2, rtol=0, atol=0)
 
     def test_sampler_with_zero_starts_is_empty(self):
         spec = conefeas.subspace_from_matrices([np.eye(3)], 3)
